@@ -275,6 +275,8 @@ void runPlanMemoAblation(int TransferWork, long Reps, JsonReport *Json) {
             .num("seconds", Time)
             .integer("rule_firings",
                      static_cast<long long>(R.Stats.RuleFirings))
+            .integer("rows_scanned",
+                     static_cast<long long>(R.Stats.RowsScanned))
             .num("ns_per_firing", NsPerFiring)
             .integer("plan_steps",
                      static_cast<long long>(R.Stats.PlanSteps))

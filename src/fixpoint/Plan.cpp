@@ -7,6 +7,7 @@
 #include "fixpoint/Plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -158,16 +159,29 @@ AccessEstimate flix::plan::estimateAccess(const PredStats &St, uint64_t Mask,
     return {N, N}; // full scan: every row is a candidate
   if (const Table::IndexStats *IS = St.forMask(Mask)) {
     // Average bucket size of the existing index: distinct projected keys
-    // are exactly the bucket count the table maintains.
+    // are exactly the bucket count the table maintains. A join's probe
+    // keys usually follow the indexed column's own distribution, so a
+    // probe lands in a bucket in proportion to its size: the row-weighted
+    // mean. It is the average for even buckets and far larger when one
+    // key dominates (IFDS's Λ fact).
     double Avg = N / static_cast<double>(std::max<size_t>(IS->Buckets, 1));
-    return {std::max(1.0, Avg), Avg};
+    double Est = std::max(Avg, IS->RowWeightedBucket);
+    return {std::max(1.0, Est), Est};
   }
-  // No index (yet) for this mask: assume each bound column cuts the
-  // candidate set by ~sqrt(N). Selective enough that probing a large
-  // relation on a bound key beats scanning it (the old fixed 10% guess
-  // made a 20k-row probe look like a 2k-row fanout, drowning real
-  // wins), pessimistic enough that a measured index beats the guess.
   double Est = N;
+  if (!St.Distinct.empty()) {
+    // No index (yet) for this mask, but the table sketches every column:
+    // a bound column with V distinct values keeps ~1/V of the rows. A
+    // live relation cannot hold more distinct values than rows, and the
+    // sketch also counts tombstoned rows, hence the clamp.
+    for (uint64_t M = Mask; M; M &= M - 1)
+      Est /= std::clamp(St.Distinct[std::countr_zero(M)], 1.0, N);
+    return {std::max(1.0, Est), Est};
+  }
+  // No column statistics at all: assume each bound column cuts the
+  // candidate set by ~sqrt(N). Selective enough that probing a large
+  // relation on a bound key beats scanning it, pessimistic enough that a
+  // measured index beats the guess.
   for (uint64_t M = Mask; M; M &= M - 1)
     Est /= std::sqrt(N);
   return {std::max(1.0, Est), Est};
@@ -185,6 +199,8 @@ void flix::plan::gatherStats(std::span<const std::unique_ptr<Table>> Tables,
     Tables[I]->collectIndexStats(Idx);
     for (const Table::IndexStats &S : Idx)
       Out[I].Indexes.push_back(S);
+    for (unsigned C = 0; C < Tables[I]->keyArity(); ++C)
+      Out[I].Distinct.push_back(Tables[I]->distinctEstimate(C));
   }
 }
 
@@ -574,7 +590,8 @@ PlanLibrary::PlanLibrary(const Program &P, const std::vector<Rule> &Prepared,
 }
 
 PlanLibrary::ReplanResult
-PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold) {
+PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold,
+                             std::span<const std::vector<uint32_t>> Deltas) {
   ReplanResult Res;
   // Drift between this snapshot and the previous one: how far the shapes
   // the current plans were estimated against have moved
@@ -596,9 +613,12 @@ PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold) {
       if (!N.Valid)
         continue;
       RulePlan &HB = HeadBound[RI][static_cast<size_t>(Driver + 1)];
-      bool Changed =
-          replanOne(*Prog, UseIndexes, N, R, RI, Driver,
-                    /*DriverIsDelta=*/Driver >= 0, NoBound, Stats, Threshold);
+      bool Changed = false;
+      if (Driver < 0 || Deltas.empty() ||
+          !Deltas[std::get<BodyAtom>(R.Body[Driver]).Pred].empty())
+        Changed = replanOne(*Prog, UseIndexes, N, R, RI, Driver,
+                            /*DriverIsDelta=*/Driver >= 0, NoBound, Stats,
+                            Threshold);
       Changed |= replanOne(*Prog, UseIndexes, HB, R, RI, Driver,
                            /*DriverIsDelta=*/false, HeadVarsByRule[RI],
                            Stats, Threshold);

@@ -177,12 +177,16 @@ struct RulePlan {
 //===----------------------------------------------------------------------===//
 
 /// Per-predicate statistics snapshot the cost model plans against: the
-/// live row count plus the cheap per-index statistics the tables maintain
-/// (bucket counts ≈ distinct projected keys, max bucket size). Gathered at
-/// solve start and between semi-naive rounds; never during an eval phase.
+/// live row count, the cheap per-index statistics the tables maintain
+/// (bucket count = distinct projected keys, max and row-weighted bucket
+/// sizes), and each key column's sketched distinct count. Gathered at solve start and
+/// between semi-naive rounds; never during an eval phase.
 struct PredStats {
   double LiveRows = 0;
   SmallVector<Table::IndexStats, 4> Indexes;
+  /// Estimated distinct values per key column (Table::distinctEstimate).
+  /// Empty when unknown, e.g. hand-built statistics.
+  SmallVector<double, 4> Distinct;
   const Table::IndexStats *forMask(uint64_t Mask) const {
     for (const Table::IndexStats &S : Indexes)
       if (S.Mask == Mask)
@@ -192,7 +196,8 @@ struct PredStats {
 };
 using StatsVec = std::vector<PredStats>;
 
-/// Snapshots \p Tables (indexed by PredId) into \p Out.
+/// Snapshots \p Tables (indexed by PredId) into \p Out. O(predicates ×
+/// columns): reads maintained counters and sketches, never rows.
 void gatherStats(std::span<const std::unique_ptr<Table>> Tables,
                  StatsVec &Out);
 
@@ -205,10 +210,16 @@ struct AccessEstimate {
 };
 
 /// Estimates accessing a predicate with \p Mask of its \p Full key columns
-/// bound. Fully bound => primary lookup (cost 1, ≤1 row). Partially bound
-/// with an existing index => average bucket size (LiveRows / buckets).
-/// Partially bound without statistics => each bound column is assumed
-/// ~10× selective. Unbound (or indexes disabled) => full scan.
+/// bound. Fully bound => primary lookup (cost 1, ≤1 row). Unbound (or
+/// indexes disabled) => full scan. Partially bound => the first of three
+/// tiers that applies:
+///   1. an existing index on \p Mask: its exact bucket statistics, the
+///      larger of the average bucket (LiveRows / buckets) and the
+///      row-weighted mean bucket (Σ bucket² / rows, larger under skew);
+///   2. column sketches: LiveRows / Π V(col) over the bound columns,
+///      each V clamped to [1, LiveRows], treating columns as independent;
+///   3. neither (hand-built statistics): each bound column cuts the
+///      candidate set by ~√LiveRows.
 AccessEstimate estimateAccess(const PredStats &St, uint64_t Mask,
                               uint64_t Full, bool UseIndexes);
 
@@ -286,7 +297,15 @@ public:
   /// for the adaptive between-round checks). Single-threaded callers only:
   /// plans are replaced in place at round boundaries, never during an eval
   /// phase.
-  ReplanResult replanFromStats(const StatsVec &Stats, double Threshold);
+  ///
+  /// A non-empty \p Deltas (indexed by PredId: the rows the next round
+  /// drives from) restricts the delta-driven family to the plans that
+  /// round runs. A plan whose driver predicate has no delta is skipped;
+  /// the check before the round that drives it covers it. The round-0
+  /// and rederive plans are always checked.
+  ReplanResult
+  replanFromStats(const StatsVec &Stats, double Threshold,
+                  std::span<const std::vector<uint32_t>> Deltas = {});
 
   /// (rule, driver) pairs whose current order differs from the frozen
   /// driver-first order (SolveStats::CostBasedPlans).
@@ -449,6 +468,7 @@ inline void deriveWithPlan(EngineT &E, ValueFactory &F, const RulePlan &Pl) {
 ///   ValueFactory &factory();
 ///   Table &table(PredId);
 ///   bool checkRow();                      // true => abort the evaluation
+///   uint64_t &rowsScanned();              // SolveStats::RowsScanned sink
 ///   Value callExtern(FnId, std::span<const Value>);
 ///   // Indexed probe; returns nullptr to request the full-scan fallback
 ///   // (counting/asserting per engine policy). CopyStorage is scratch the
@@ -639,6 +659,7 @@ private:
           return false;
         uint32_t RowId = C.RowList ? (*C.RowList)[C.Idx] : C.Idx;
         ++C.Idx;
+        ++E.rowsScanned();
         if (T.isTombstone(RowId))
           continue;
         if (!matchRow(S, C, T, RowId)) {

@@ -28,6 +28,7 @@ struct Solver::PlanEngine {
   ValueFactory &factory() { return S.F; }
   Table &table(PredId P) { return *S.Tables[P]; }
   bool checkRow() { return S.checkDeadline(); }
+  uint64_t &rowsScanned() { return S.Stats.RowsScanned; }
   Value callExtern(FnId Fn, std::span<const Value> Args) {
     return S.callExtern(Fn, Args);
   }
@@ -398,6 +399,7 @@ void Solver::matchAtomRow(const Rule &R, const BodyAtom &A, uint32_t RowId,
   Table &T = *Tables[A.Pred];
   unsigned KA = D.keyArity();
 
+  ++Stats.RowsScanned;
   // Tombstoned rows (reset to ⊥ by the incremental over-delete) are
   // logically absent; they are still reachable through indexes and full
   // scans, so every row-match path must skip them.
@@ -754,12 +756,14 @@ size_t Solver::memoryFootprint() const {
   return Bytes;
 }
 
-bool Solver::replanPlans(double Threshold, bool CountEvents) {
+bool Solver::replanPlans(double Threshold, bool CountEvents,
+                         std::span<const std::vector<uint32_t>> Deltas) {
   if (!Plans || !Opts.CostBasedPlans)
     return false;
   plan::StatsVec St;
   plan::gatherStats({Tables.data(), Tables.size()}, St);
-  plan::PlanLibrary::ReplanResult R = Plans->replanFromStats(St, Threshold);
+  plan::PlanLibrary::ReplanResult R =
+      Plans->replanFromStats(St, Threshold, Deltas);
   if (CountEvents) {
     Stats.ReplanEvents += R.Replanned;
     Stats.EstimatedVsActualRows += R.RowsDivergence;
@@ -888,7 +892,7 @@ SolveStats Solver::solve() {
       // sequential engine probes via Table::probe (lazy index build), so a
       // new mask needs no pre-building.
       if (Opts.ReplanThreshold > 0)
-        replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true);
+        replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true, Delta);
       for (uint32_t RI : RuleIds) {
         const Rule &R = Prepared[RI];
         CurRuleIndex = RI;

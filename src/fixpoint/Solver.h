@@ -124,11 +124,11 @@ struct SolverOptions {
   /// CompilePlans.
   bool CostBasedPlans = true;
   /// Adaptive re-planning (CostBasedPlans only): between semi-naive
-  /// rounds, re-plan any (rule, driver) whose current order's estimated
-  /// cost exceeds this factor × the best candidate's under fresh table
-  /// statistics. <= 0 disables the between-round checks (initial
-  /// cost-based choice only). The default keeps enough hysteresis that
-  /// uniform workloads never flip plans mid-solve.
+  /// rounds, re-plan any (rule, driver) the next round runs whose current
+  /// order's estimated cost exceeds this factor × the best candidate's
+  /// under fresh table statistics. <= 0 disables the between-round
+  /// checks (initial cost-based choice only). The default keeps enough
+  /// hysteresis that uniform workloads never flip plans mid-solve.
   double ReplanThreshold = 4.0;
 };
 
@@ -168,6 +168,11 @@ struct SolveStats {
 
   uint64_t Iterations = 0;   ///< delta rounds (or naive passes)
   uint64_t RuleFirings = 0;  ///< successful full body matches
+  /// Candidate rows examined by table accesses (driver, lookup, probe
+  /// and scan steps, tombstones included) before their column tests.
+  /// Deterministic for a sequential solve. RowsScanned / RuleFirings is
+  /// the join plan's wasted work per useful match.
+  uint64_t RowsScanned = 0;
   uint64_t FactsDerived = 0; ///< joins that strictly increased a cell
   double Seconds = 0;
   /// Tables + indexes + value arena + provenance + support index + memo
@@ -357,8 +362,11 @@ private:
   /// Called only at single-threaded points (solve start, round
   /// boundaries) — also by the incremental engine between delta rounds.
   /// Returns true if any plan changed (the incremental engine then
-  /// refreshes its workers' pre-built indexes).
-  bool replanPlans(double Threshold, bool CountEvents);
+  /// refreshes its workers' pre-built indexes). Round-boundary callers
+  /// pass the next round's \p Deltas so only the plans it runs are
+  /// re-checked (PlanLibrary::replanFromStats).
+  bool replanPlans(double Threshold, bool CountEvents,
+                   std::span<const std::vector<uint32_t>> Deltas = {});
 
   const Program &P;
   SolverOptions Opts;

@@ -9,7 +9,9 @@
 #include "support/SmallVector.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cmath>
 
 using namespace flix;
 
@@ -21,6 +23,40 @@ const std::vector<uint32_t> Table::EmptyBucket;
 static constexpr size_t BucketNodeBytes =
     sizeof(Value) + sizeof(std::vector<uint32_t>) + 16;
 
+void DistinctSketch::add(uint64_t Hash) {
+  if (Regs.empty()) {
+    Regs.assign(NumRegisters, 0);
+    Hist[0] = NumRegisters;
+  }
+  // The top Precision bits pick the register; the rank is the position
+  // of the first set bit among the rest (MaxRank if they are all zero).
+  uint64_t Rest = Hash << Precision;
+  uint8_t Rank = Rest ? static_cast<uint8_t>(std::countl_zero(Rest) + 1)
+                      : static_cast<uint8_t>(MaxRank);
+  uint8_t &R = Regs[Hash >> (64 - Precision)];
+  if (Rank <= R)
+    return;
+  --Hist[R];
+  ++Hist[Rank];
+  R = Rank;
+}
+
+double DistinctSketch::estimate() const {
+  if (Regs.empty())
+    return 0;
+  constexpr double M = NumRegisters;
+  double Sum = 0;
+  for (unsigned R = 0; R <= MaxRank; ++R)
+    if (Hist[R])
+      Sum += std::ldexp(static_cast<double>(Hist[R]), -static_cast<int>(R));
+  double Raw = 0.7213 / (1.0 + 1.079 / M) * M * M / Sum;
+  // Small-range correction: below 2.5m the raw estimate is biased, and
+  // linear counting over the empty registers is the better estimator.
+  if (Raw <= 2.5 * M && Hist[0] != 0)
+    return M * std::log(M / Hist[0]);
+  return Raw;
+}
+
 void Table::Index::add(Value Proj, uint32_t Id) {
   auto [It, Inserted] = Buckets.try_emplace(Proj);
   if (Inserted)
@@ -31,6 +67,7 @@ void Table::Index::add(Value Proj, uint32_t Id) {
   if (B.capacity() != OldCap)
     Bytes += (B.capacity() - OldCap) * sizeof(uint32_t);
   MaxBucket = std::max(MaxBucket, B.size());
+  SumSquares += 2 * B.size() - 1; // (b + 1)² - b²
 }
 
 Table::JoinResult Table::join(Value KeyTuple, Value LatVal) {
@@ -53,8 +90,10 @@ Table::JoinResult Table::join(Value KeyTuple, Value LatVal) {
   uint32_t Id = static_cast<uint32_t>(Rows.size());
   Rows.push_back({KeyTuple, LatVal});
   Primary.emplace(KeyTuple, Id);
-  // Keep existing secondary indexes in sync.
+  // Keep the column sketches and existing secondary indexes in sync.
   std::span<const Value> KeyElems = F.tupleElems(KeyTuple);
+  for (unsigned I = 0; I < KeyArity; ++I)
+    Sketches[I].add(KeyElems[I].hash());
   for (Index &Ix : Indexes)
     Ix.add(projectKey(KeyElems, Ix.Mask), Id);
   return {Id, true};
@@ -143,7 +182,9 @@ void Table::buildIndexFromPartials(uint64_t Mask,
         Ix->Bytes += BucketNodeBytes;
       std::vector<uint32_t> &B = It->second;
       size_t OldCap = B.capacity();
+      uint64_t OldSize = B.size();
       B.insert(B.end(), Ids.begin(), Ids.end());
+      Ix->SumSquares += B.size() * B.size() - OldSize * OldSize;
       if (B.capacity() != OldCap)
         Ix->Bytes += (B.capacity() - OldCap) * sizeof(uint32_t);
       Ix->MaxBucket = std::max(Ix->MaxBucket, B.size());
@@ -158,11 +199,18 @@ bool Table::hasIndex(uint64_t Mask) const {
   return false;
 }
 
+Table::IndexStats Table::statsOf(const Index &Ix) const {
+  double Weighted = Rows.empty() ? 0.0
+                                 : static_cast<double>(Ix.SumSquares) /
+                                       static_cast<double>(Rows.size());
+  return {Ix.Mask, Ix.Buckets.size(), Ix.MaxBucket, Weighted};
+}
+
 bool Table::indexStats(uint64_t Mask, IndexStats &Out) const {
   for (const Index &Ix : Indexes) {
     if (Ix.Mask != Mask)
       continue;
-    Out = {Ix.Mask, Ix.Buckets.size(), Ix.MaxBucket};
+    Out = statsOf(Ix);
     return true;
   }
   return false;
@@ -170,7 +218,7 @@ bool Table::indexStats(uint64_t Mask, IndexStats &Out) const {
 
 void Table::collectIndexStats(std::vector<IndexStats> &Out) const {
   for (const Index &Ix : Indexes)
-    Out.push_back({Ix.Mask, Ix.Buckets.size(), Ix.MaxBucket});
+    Out.push_back(statsOf(Ix));
 }
 
 const std::vector<uint32_t> &Table::probe(uint64_t BoundMask,
@@ -200,6 +248,8 @@ const std::vector<uint32_t> *Table::probeExisting(uint64_t BoundMask,
 size_t Table::memoryBytes() const {
   size_t Bytes = Rows.capacity() * sizeof(Row);
   Bytes += Primary.size() * (sizeof(Value) + sizeof(uint32_t) + 16);
+  for (const DistinctSketch &S : Sketches)
+    Bytes += S.memoryBytes();
   for (const Index &Ix : Indexes) {
     Bytes += Ix.Bytes;
     // Hash-table array of the bucket map itself.

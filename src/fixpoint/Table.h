@@ -17,6 +17,9 @@
 /// from the bound-variable patterns the solver encounters — the paper's
 /// automatic index selection (§4.5).
 ///
+/// Every key column also carries a DistinctSketch, so the cost-based
+/// planner can price a probe on a column no index covers yet.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FLIX_FIXPOINT_TABLE_H
@@ -24,10 +27,39 @@
 
 #include "runtime/Lattice.h"
 
+#include <array>
 #include <unordered_map>
 #include <vector>
 
 namespace flix {
+
+/// Distinct-count sketch of one column: HyperLogLog (Flajolet et al.,
+/// 2007) with linear counting for small cardinalities. Insert-only, so
+/// the estimate never decreases. It also does not depend on insertion
+/// order: the registers are a max over the inserted hashes, and the
+/// estimate is read off an exact histogram of register values. The
+/// parallel engine's merge order therefore cannot perturb it.
+class DistinctSketch {
+public:
+  /// 2^11 one-byte registers: standard error 1.04/sqrt(2048) ≈ 2.3%.
+  /// Linear counting takes over below 2.5 × 2048 distinct values.
+  static constexpr unsigned Precision = 11;
+  static constexpr unsigned NumRegisters = 1u << Precision;
+
+  /// Records one value by its (well-mixed) 64-bit hash.
+  void add(uint64_t Hash);
+
+  /// Estimated number of distinct hashes added (0 when none were).
+  double estimate() const;
+
+  size_t memoryBytes() const { return Regs.capacity(); }
+
+private:
+  static constexpr unsigned MaxRank = 64 - Precision + 1;
+  std::vector<uint8_t> Regs; ///< allocated on the first add()
+  /// Hist[r] = registers currently holding rank r.
+  std::array<uint32_t, MaxRank + 1> Hist{};
+};
 
 /// One predicate's rows: compact map from key tuple to lattice element.
 class Table {
@@ -43,7 +75,8 @@ public:
   /// rejects such predicates before any solver evaluates them, so a Table
   /// with KeyArity > 63 may be constructed but never probed or joined.
   Table(unsigned KeyArity, const Lattice &Lat, ValueFactory &F)
-      : KeyArity(KeyArity), Lat(Lat), F(F), Bot(Lat.bot()) {}
+      : KeyArity(KeyArity), Lat(Lat), F(F), Bot(Lat.bot()),
+        Sketches(KeyArity) {}
 
   unsigned keyArity() const { return KeyArity; }
   const Lattice &lattice() const { return Lat; }
@@ -148,13 +181,18 @@ public:
   bool hasIndex(uint64_t Mask) const;
 
   /// Cheap maintained statistics of one secondary index, read by the
-  /// cost-based planner (Plan.cpp): the number of distinct projected keys
-  /// and the largest bucket's row count. Both are maintained by add() and
-  /// the partial-merge builder, so reading them costs nothing.
+  /// cost-based planner (Plan.cpp): the number of distinct projected keys,
+  /// the largest bucket's row count, and the row-weighted mean bucket.
+  /// All are maintained by add() and the partial-merge builder, so
+  /// reading them costs nothing.
   struct IndexStats {
     uint64_t Mask;
     size_t Buckets;   ///< distinct projected keys (bucket count)
     size_t MaxBucket; ///< rows in the largest bucket
+    /// Σ bucket² / rows: the mean size of the bucket holding a randomly
+    /// chosen row. Equals rows / Buckets when buckets are even and grows
+    /// with skew. 0 when unknown (hand-built statistics).
+    double RowWeightedBucket = 0;
   };
 
   /// Statistics for the index on \p Mask, or false if no such index
@@ -164,9 +202,17 @@ public:
   /// Appends statistics for every existing secondary index to \p Out.
   void collectIndexStats(std::vector<IndexStats> &Out) const;
 
-  /// Approximate heap bytes used by rows and indexes. Index cost is
-  /// tracked at bucket-vector granularity including unused capacity from
-  /// growth, so the estimate no longer drifts low as buckets grow.
+  /// Estimated distinct values of key column \p Col over every row ever
+  /// appended. Tombstoning does not lower it, and a revived row does not
+  /// count twice. Reading it does not scan rows.
+  double distinctEstimate(unsigned Col) const {
+    return Sketches[Col].estimate();
+  }
+
+  /// Approximate heap bytes used by rows, indexes and sketches. Index
+  /// cost is tracked at bucket-vector granularity including unused
+  /// capacity from growth, so the estimate no longer drifts low as
+  /// buckets grow.
   size_t memoryBytes() const;
 
 private:
@@ -176,9 +222,10 @@ private:
     /// Capacity-aware byte estimate of this index's buckets (vector
     /// capacity + per-bucket map-node overhead), maintained by add().
     size_t Bytes = 0;
-    /// Rows in the largest bucket, maintained by add() and the
-    /// partial-merge builder; read by indexStats() for the cost model.
+    /// Rows in the largest bucket and Σ bucket², maintained by add() and
+    /// the partial-merge builder; read by indexStats() for the cost model.
     size_t MaxBucket = 0;
+    uint64_t SumSquares = 0;
 
     /// Appends \p Id to the bucket of \p Proj, keeping Bytes in sync with
     /// actual vector capacity growth.
@@ -186,6 +233,7 @@ private:
   };
 
   Value projectKey(std::span<const Value> KeyElems, uint64_t Mask) const;
+  IndexStats statsOf(const Index &Ix) const;
   Index &ensureIndex(uint64_t Mask);
   Index *findIndex(uint64_t Mask);
 
@@ -198,6 +246,8 @@ private:
   std::vector<Row> Rows;
   std::unordered_map<Value, uint32_t> Primary;
   std::vector<Index> Indexes;
+  /// One per key column, updated only when join() appends a new row.
+  std::vector<DistinctSketch> Sketches;
   static const std::vector<uint32_t> EmptyBucket;
 };
 

@@ -62,6 +62,7 @@ struct IncrementalSolver::WorkerCtx {
   const Task *Cur = nullptr;
   uint32_t CurRuleIdx = 0;
   uint64_t RuleFirings = 0;
+  uint64_t RowsScanned = 0;
   uint64_t IndexFallbacks = 0;
   uint64_t VmCalls = 0;
   uint64_t InterpFallbacks = 0;
@@ -104,6 +105,7 @@ struct IncrementalSolver::WorkerCtx {
   ValueFactory &factory() { return IS.F; }
   Table &table(PredId P) { return *Sol->Tables[P]; }
   bool checkRow() { return false; } // updates have no deadline
+  uint64_t &rowsScanned() { return RowsScanned; }
 
   const std::vector<uint32_t> *probeBucket(const plan::Step &St, Value ProjT,
                                            std::vector<uint32_t> &) {
@@ -357,6 +359,7 @@ void IncrementalSolver::WorkerCtx::matchAtomRow(
   const PredicateDecl &D = IS.P.predicate(A.Pred);
   const Table &T = *Sol->Tables[A.Pred];
   unsigned KA = D.keyArity();
+  ++RowsScanned;
 
   // Tombstoned rows are logically absent (see Solver::matchAtomRow).
   if (T.isTombstone(RowId))
@@ -840,10 +843,12 @@ void IncrementalSolver::mergeWorkerDerivs() {
       }
     }
     Sol.Stats.RuleFirings += W->RuleFirings;
+    Sol.Stats.RowsScanned += W->RowsScanned;
     Sol.Stats.IndexFallbacks += W->IndexFallbacks;
     Sol.Stats.VmCalls += W->VmCalls;
     Sol.Stats.InterpFallbacks += W->InterpFallbacks;
     W->RuleFirings = 0;
+    W->RowsScanned = 0;
     W->IndexFallbacks = 0;
     W->VmCalls = 0;
     W->InterpFallbacks = 0;
@@ -1076,7 +1081,8 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       // solvers: single-threaded here, and workers re-fetch plans by
       // (rule, driver) each round, so swapping them in place is safe.
       if (Opts.ReplanThreshold > 0 &&
-          Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true) &&
+          Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true,
+                          Sol.Delta) &&
           Parallel && Opts.UseIndexes)
         prepareWorkerIndexes();
       if (RuleIds.empty())
@@ -1174,6 +1180,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   U.St = Sol.Stats.St;
   U.Iterations = Sol.Stats.Iterations - Before.Iterations;
   U.RuleFirings = Sol.Stats.RuleFirings - Before.RuleFirings;
+  U.RowsScanned = Sol.Stats.RowsScanned - Before.RowsScanned;
   U.FactsDerived = Sol.Stats.FactsDerived - Before.FactsDerived;
   U.ParallelTasks = Sol.Stats.ParallelTasks - Before.ParallelTasks;
   U.IndexFallbacks = Sol.Stats.IndexFallbacks - Before.IndexFallbacks;

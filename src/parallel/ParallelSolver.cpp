@@ -160,6 +160,7 @@ struct ParallelSolver::WorkerCtx {
 
   // Counters drained into SolveStats by the coordinator between phases.
   uint64_t RuleFirings = 0;
+  uint64_t RowsScanned = 0;
   uint64_t FactsDerived = 0;
   uint64_t MergeCollisions = 0;
   uint64_t SpawnedSubtasks = 0;
@@ -221,6 +222,7 @@ struct ParallelSolver::WorkerCtx {
   ValueFactory &factory() { return S.F; }
   Table &table(PredId P) { return *S.Tables[P]; }
   bool checkRow() { return checkAbort(); }
+  uint64_t &rowsScanned() { return RowsScanned; }
 
   /// Buckets are immutable during an eval phase, so no copy is taken (the
   /// scratch vector stays untouched) and the returned pointer is a stable
@@ -561,6 +563,7 @@ void ParallelSolver::WorkerCtx::matchAtomRow(
   const PredicateDecl &D = S.P.predicate(A.Pred);
   const Table &T = *S.Tables[A.Pred];
   unsigned KA = D.keyArity();
+  ++RowsScanned;
 
   BindTrail Trail;
   bool Ok = true;
@@ -885,12 +888,15 @@ void ParallelSolver::buildStaticIndexes() {
   Stats.IndexBuildTasks += Scans.size() + Merges.size();
 }
 
-bool ParallelSolver::replanPlans(double Threshold, bool CountEvents) {
+bool ParallelSolver::replanPlans(
+    double Threshold, bool CountEvents,
+    std::span<const std::vector<uint32_t>> Deltas) {
   if (!Plans || !Opts.CostBasedPlans)
     return false;
   plan::StatsVec St;
   plan::gatherStats({Tables.data(), Tables.size()}, St);
-  plan::PlanLibrary::ReplanResult R = Plans->replanFromStats(St, Threshold);
+  plan::PlanLibrary::ReplanResult R =
+      Plans->replanFromStats(St, Threshold, Deltas);
   if (CountEvents) {
     Stats.ReplanEvents += R.Replanned;
     Stats.EstimatedVsActualRows += R.RowsDivergence;
@@ -1008,6 +1014,7 @@ SolveStats ParallelSolver::solve() {
     Stats.VmPassesRemovedInsns = P.vmPipelineCounters().RemovedInsns;
     for (const std::unique_ptr<WorkerCtx> &W : Workers) {
       Stats.RuleFirings += W->RuleFirings;
+      Stats.RowsScanned += W->RowsScanned;
       Stats.FactsDerived += W->FactsDerived;
       Stats.MergeCollisions += W->MergeCollisions;
       Stats.SpawnedSubtasks += W->SpawnedSubtasks;
@@ -1015,7 +1022,8 @@ SolveStats ParallelSolver::solve() {
       Stats.IndexFallbacks += W->IndexFallbacks;
       Stats.VmCalls += W->VmCalls;
       Stats.InterpFallbacks += W->InterpFallbacks;
-      W->RuleFirings = W->FactsDerived = W->MergeCollisions = 0;
+      W->RuleFirings = W->RowsScanned = W->FactsDerived = 0;
+      W->MergeCollisions = 0;
       W->SpawnedSubtasks = W->MaxFanout = W->IndexFallbacks = 0;
       W->VmCalls = W->InterpFallbacks = 0;
     }
@@ -1118,7 +1126,7 @@ SolveStats ParallelSolver::solve() {
       // reset after each eval phase). Workers probe via probeExisting, so
       // any newly wanted mask must be built before the next phase.
       if (Opts.ReplanThreshold > 0 &&
-          replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true))
+          replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true, Delta))
         buildStaticIndexes();
       buildDeltaTasks(RuleIds);
       runEvalPhase();

@@ -125,8 +125,10 @@ private:
   /// CostBasedPlans). Coordinator-only: must run between phases, when no
   /// worker holds a plan pointer. Returns true if any plan changed, in
   /// which case the caller must re-run buildStaticIndexes() so workers'
-  /// probeExisting finds every newly wanted mask.
-  bool replanPlans(double Threshold, bool CountEvents);
+  /// probeExisting finds every newly wanted mask. \p Deltas as in
+  /// PlanLibrary::replanFromStats.
+  bool replanPlans(double Threshold, bool CountEvents,
+                   std::span<const std::vector<uint32_t>> Deltas = {});
   void buildRound0Tasks(const std::vector<uint32_t> &RuleIds);
   void buildDeltaTasks(const std::vector<uint32_t> &RuleIds);
   void addChunkedTasks(uint32_t RuleIdx, int32_t Driver,

@@ -473,6 +473,7 @@ Json Session::statsJson() {
            Json::integer(int64_t(LastUpdate.ReplanEvents)));
   Last.set("iterations", Json::integer(int64_t(LastUpdate.Iterations)));
   Last.set("rule_firings", Json::integer(int64_t(LastUpdate.RuleFirings)));
+  Last.set("rows_scanned", Json::integer(int64_t(LastUpdate.RowsScanned)));
   Last.set("facts_derived",
            Json::integer(int64_t(LastUpdate.FactsDerived)));
   Last.set("facts_added", Json::integer(int64_t(LastUpdate.FactsAdded)));

@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 using namespace flix;
 
 namespace {
@@ -283,6 +285,35 @@ TEST(IfdsTest, RecursiveProceduresTerminate) {
   ASSERT_TRUE(A.Ok) << A.Error;
   EXPECT_TRUE(A.sameResult(B));
   EXPECT_TRUE(A.Result.count({3, 1}));
+}
+
+TEST(IfdsTest, PmdJoinPlanScansFewRowsPerFiring) {
+  // Regression for a misplanned SummaryEdge join: driven by ΔPathEdge it
+  // probed EshCallStart on d1 alone (~89 rows per delta row) because an
+  // unindexed EndNode(target, end) probe was priced by a sqrt(N) guess.
+  // With column sketches the planner puts EndNode right after the
+  // driver, and the sequential solve examines ~3.5 candidate rows per
+  // firing (it was ~82 before).
+  std::optional<DacapoPreset> Pmd;
+  for (const DacapoPreset &Pr : dacapoPresets())
+    if (Pr.Name == "pmd")
+      Pmd = Pr;
+  ASSERT_TRUE(Pmd);
+  IcfgProgram G = generateIcfg(/*Seed=*/2016, Pmd->NumProcs,
+                               Pmd->NodesPerProc, Pmd->FactsTotal,
+                               Pmd->CallsPerProc);
+  G.TransferWork = 0;
+  IfdsProblem P = G.toIfdsProblem();
+  IfdsResult A = runIfdsFlix(P);
+  IfdsResult B = runIfdsImperative(P);
+  ASSERT_TRUE(A.Ok) << A.Error;
+  ASSERT_TRUE(B.Ok);
+  EXPECT_TRUE(A.sameResult(B));
+  ASSERT_GT(A.Stats.RuleFirings, 0u);
+  double PerFiring = static_cast<double>(A.Stats.RowsScanned) /
+                     static_cast<double>(A.Stats.RuleFirings);
+  EXPECT_LT(PerFiring, 5.0) << A.Stats.RowsScanned << " rows scanned for "
+                            << A.Stats.RuleFirings << " firings";
 }
 
 //===----------------------------------------------------------------------===//

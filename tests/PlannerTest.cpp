@@ -138,6 +138,166 @@ TEST(PlannerCostModelTest, OrderDominance) {
   EXPECT_EQ(Got[2], 1u);
 }
 
+TEST(PlannerCostModelTest, EstimateAccessUsesColumnSketches) {
+  PredStats St;
+  St.LiveRows = 1000;
+  St.Distinct = {1000, 10, 4};
+  uint64_t Full = 0b111;
+
+  // One bound column keeps LiveRows / V of the rows.
+  EXPECT_DOUBLE_EQ(estimateAccess(St, 0b010, Full, true).Fanout, 100.0);
+  // Bound columns combine as if independent.
+  EXPECT_DOUBLE_EQ(estimateAccess(St, 0b110, Full, true).Fanout, 25.0);
+  // A sketch can count more values than there are live rows (tombstones,
+  // estimator error); a column never cuts below one row per value.
+  St.Distinct[1] = 5000;
+  EXPECT_DOUBLE_EQ(estimateAccess(St, 0b010, Full, true).Fanout, 1.0);
+  // An index on the mask is exact and wins over the sketch.
+  St.Indexes.push_back({0b010, /*Buckets=*/50, /*MaxBucket=*/40});
+  EXPECT_DOUBLE_EQ(estimateAccess(St, 0b010, Full, true).Fanout, 20.0);
+  // A skewed index is priced by the bucket an average row sits in.
+  St.Indexes[0].RowWeightedBucket = 35;
+  EXPECT_DOUBLE_EQ(estimateAccess(St, 0b010, Full, true).Fanout, 35.0);
+}
+
+/// Figure 5's SummaryEdge rule, driven by ΔPathEdge:
+///   SummaryEdge(call, d4, d5) :- CallGraph(call, target),
+///       StartNode(target, start), EndNode(target, end),
+///       EshCallStart(call, d4, target, d1), PathEdge(d1, end, d2),
+///       d5 <- eshEndReturn(target, d2, call).
+/// Statistics are shaped like the pmd preset: 76 procedures, EshCallStart
+/// skewed on d1 (one bucket of its d1 index holds most rows; ~88 rows a
+/// bucket on average mid-solve), and no index on EndNode's `end` column.
+struct SummaryEdgeCase {
+  ValueFactory F;
+  Program P{F};
+  PredId CallGraph, StartNode, EndNode, EshCallStart, PathEdge, SummaryEdge;
+  static constexpr int DriverIdx = 4; // PathEdge's body index
+  static constexpr uint32_t EndNodeIdx = 2;
+  static constexpr uint32_t EshCallStartIdx = 3;
+
+  SummaryEdgeCase() {
+    CallGraph = P.relation("CallGraph", 2);
+    StartNode = P.relation("StartNode", 2);
+    EndNode = P.relation("EndNode", 2);
+    EshCallStart = P.relation("EshCallStart", 4);
+    PathEdge = P.relation("PathEdge", 3);
+    SummaryEdge = P.relation("SummaryEdge", 3);
+    FnId Ret = P.function("eshEndReturn", 3, FnRole::Binder,
+                          [this](std::span<const Value>) {
+                            return F.set(std::vector<Value>{});
+                          });
+    RuleBuilder()
+        .head(SummaryEdge, {"call", "d4", "d5"})
+        .atom(CallGraph, {"call", "target"})
+        .atom(StartNode, {"target", "start"})
+        .atom(EndNode, {"target", "end"})
+        .atom(EshCallStart, {"call", "d4", "target", "d1"})
+        .atom(PathEdge, {"d1", "end", "d2"})
+        .bind({"d5"}, Ret, {"target", "d2", "call"})
+        .addTo(P);
+  }
+
+  StatsVec stats(double EshRows = 4400) const {
+    StatsVec S(P.predicates().size());
+    S[CallGraph].LiveRows = 304;
+    S[CallGraph].Distinct = {301, 76};
+    S[CallGraph].Indexes.push_back({0b01, 297, 2});
+    S[StartNode].LiveRows = 76;
+    S[StartNode].Distinct = {76, 76};
+    S[StartNode].Indexes.push_back({0b01, 76, 1});
+    S[EndNode].LiveRows = 76;
+    S[EndNode].Distinct = {76, 76};
+    S[EndNode].Indexes.push_back({0b01, 76, 1}); // on target, not end
+    S[EshCallStart].LiveRows = EshRows;
+    S[EshCallStart].Distinct = {300, 50, 76, 50};
+    S[EshCallStart].Indexes.push_back({0b1000, 50, size_t(EshRows * 0.6)});
+    S[PathEdge].LiveRows = 20000;
+    S[PathEdge].Distinct = {60, 2888, 420};
+    S[SummaryEdge].LiveRows = 900;
+    S[SummaryEdge].Distinct = {300, 60, 60};
+    return S;
+  }
+};
+
+TEST(PlannerCostModelTest, SummaryEdgeProbesEndNodeRightAfterDriver) {
+  SummaryEdgeCase C;
+  const Rule &R = C.P.rules()[0];
+  std::vector<bool> PreBound(R.NumVars, false);
+  // `end` is bound by the driver and has 76 distinct values in 76 rows:
+  // EndNode yields ~1 row and binds `target` for everything after it.
+  // Early in the solve (300 EshCallStart rows) a sqrt(76) guess for the
+  // unindexed `end` probe made the d1 probe look cheaper.
+  for (double EshRows : {300.0, 4400.0}) {
+    SmallVector<uint32_t, 8> Got =
+        chooseOrder(C.P, R, SummaryEdgeCase::DriverIdx,
+                    /*DriverIsDelta=*/true, C.stats(EshRows), true, PreBound);
+    ASSERT_EQ(Got.size(), R.Body.size());
+    EXPECT_EQ(Got[0], uint32_t(SummaryEdgeCase::DriverIdx));
+    EXPECT_EQ(Got[1], SummaryEdgeCase::EndNodeIdx)
+        << "EshCallStart rows: " << EshRows;
+  }
+}
+
+TEST(PlannerReplanTest, SummaryEdgeInitialChooseUsesSketches) {
+  // Before the solve fills EshCallStart, its one-row floor makes probing
+  // it on d1 look free. The sketched EndNode (~1 row) must still win the
+  // initial choose: the 4x hysteresis of later checks would otherwise
+  // hold the d1 probe while EshCallStart grows.
+  SummaryEdgeCase C;
+  StatsVec St = C.stats();
+  St[C.EshCallStart] = PredStats();
+  St[C.SummaryEdge] = PredStats();
+  std::vector<Rule> Rules = C.P.rules();
+  PlanLibrary L(C.P, Rules, /*UseIndexes=*/true);
+  L.replanFromStats(St, 1.0);
+  auto secondStep = [&] {
+    const RulePlan &Pl = L.plan(0, SummaryEdgeCase::DriverIdx);
+    EXPECT_EQ(Pl.BodyOrder.size(), Rules[0].Body.size());
+    return Pl.BodyOrder[1];
+  };
+  EXPECT_EQ(secondStep(), SummaryEdgeCase::EndNodeIdx);
+  // Grown to the mid-solve shape, the adaptive check keeps that order.
+  L.replanFromStats(C.stats(), 4.0);
+  EXPECT_EQ(secondStep(), SummaryEdgeCase::EndNodeIdx);
+}
+
+TEST(PlannerReplanTest, SummaryEdgeSkewedD1IndexTriggersReplan) {
+  // A sketch that undercounts EndNode's `end` column (74 for 76 values)
+  // loses the initial choose to the free-looking d1 probe into the still
+  // empty EshCallStart. As EshCallStart fills, one d1 bucket (fact Λ)
+  // takes most rows while the average bucket stays ~3 rows. The
+  // row-weighted bucket exposes the skew, and the adaptive check moves
+  // EndNode back behind the driver.
+  SummaryEdgeCase C;
+  StatsVec St = C.stats();
+  St[C.EndNode].Distinct = {76, 74};
+  St[C.EshCallStart] = PredStats();
+  St[C.SummaryEdge] = PredStats();
+  std::vector<Rule> Rules = C.P.rules();
+  PlanLibrary L(C.P, Rules, /*UseIndexes=*/true);
+  L.replanFromStats(St, 1.0);
+  auto secondStep = [&] {
+    return L.plan(0, SummaryEdgeCase::DriverIdx).BodyOrder[1];
+  };
+  ASSERT_EQ(secondStep(), SummaryEdgeCase::EshCallStartIdx);
+
+  // Mid-solve shape of a pmd run. Other plans also index EshCallStart on
+  // (target, d1), ~2.3 rows a bucket, so by average buckets the EndNode
+  // order looks only ~1.5x cheaper: below the 4x hysteresis.
+  StatsVec Mid = C.stats(/*EshRows=*/788);
+  Mid[C.EndNode].Distinct = {76, 74};
+  Mid[C.EshCallStart].Distinct = {296, 273, 75, 272};
+  Table::IndexStats &D1 = Mid[C.EshCallStart].Indexes[0];
+  D1.Buckets = 270;
+  D1.MaxBucket = 300;
+  D1.RowWeightedBucket = 115;
+  Mid[C.EshCallStart].Indexes.push_back(
+      {0b1100, /*Buckets=*/344, /*MaxBucket=*/9, /*RowWeightedBucket=*/4});
+  L.replanFromStats(Mid, 4.0);
+  EXPECT_EQ(secondStep(), SummaryEdgeCase::EndNodeIdx);
+}
+
 TEST(PlannerCostModelTest, DriverStaysFirst) {
   MisorderedJoinCase C;
   const Rule &R = C.P.rules()[0];

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 using namespace flix;
 
@@ -143,6 +144,44 @@ TEST_F(TableTest, MemoryAccountingCoversBucketCapacity) {
   EXPECT_LE(IndexBytes, 4u * N * sizeof(uint32_t));
 }
 
+TEST_F(TableTest, ColumnSketchTracksExactDistinctCounts) {
+  // Column 0 holds N distinct values, column 1 about N/4. Tolerance: 3
+  // standard errors of a 2^Precision-register HyperLogLog. N = 50k is past
+  // the linear-counting range, so the raw estimator is covered too.
+  const double Tol =
+      3 * 1.04 / std::sqrt(double(DistinctSketch::NumRegisters));
+  for (int N : {1, 76, 2888, 50000}) {
+    int Mod = N / 4 + 1;
+    Table T(2, L, F), Rev(2, L, F);
+    for (int I = 0; I < N; ++I)
+      T.join(key(I, I % Mod), L.odd());
+    double Exact1 = std::min(N, Mod);
+    EXPECT_NEAR(T.distinctEstimate(0), N, Tol * N) << "N = " << N;
+    EXPECT_NEAR(T.distinctEstimate(1), Exact1, Tol * Exact1) << "N = " << N;
+    // The same rows inserted in reverse give the identical estimate.
+    for (int I = N - 1; I >= 0; --I)
+      Rev.join(key(I, I % Mod), L.odd());
+    EXPECT_EQ(Rev.distinctEstimate(0), T.distinctEstimate(0));
+    EXPECT_EQ(Rev.distinctEstimate(1), T.distinctEstimate(1));
+  }
+  EXPECT_EQ(Table(2, L, F).distinctEstimate(0), 0.0);
+}
+
+TEST_F(TableTest, ColumnSketchNeverDropsOnTombstones) {
+  Table T(2, L, F);
+  for (int I = 0; I < 200; ++I)
+    T.join(key(I, I % 10), L.odd());
+  double Before = T.distinctEstimate(0);
+  for (uint32_t Id = 0; Id < 100; ++Id) {
+    T.resetRow(Id);
+    EXPECT_GE(T.distinctEstimate(0), Before) << "after tombstoning " << Id;
+  }
+  // Reviving a tombstoned row is not a new distinct value.
+  for (int I = 0; I < 100; ++I)
+    T.join(key(I, I % 10), L.odd());
+  EXPECT_EQ(T.distinctEstimate(0), Before);
+}
+
 TEST_F(TableTest, BuildIndexFromPartialsMatchesIncrementalIndex) {
   // The pool-parallel build path (partial scans + merge) must produce the
   // same buckets, in the same ascending-id order, as the incremental
@@ -172,10 +211,34 @@ TEST_F(TableTest, BuildIndexFromPartialsMatchesIncrementalIndex) {
     EXPECT_EQ(*B, Inc.probe(Mask, Proj)) << "column value " << A;
     EXPECT_TRUE(std::is_sorted(B->begin(), B->end()));
   }
+  // Both build paths maintain the same planner statistics.
+  Table::IndexStats SInc, SPar;
+  ASSERT_TRUE(Inc.indexStats(Mask, SInc));
+  ASSERT_TRUE(Par.indexStats(Mask, SPar));
+  EXPECT_EQ(SPar.Buckets, SInc.Buckets);
+  EXPECT_EQ(SPar.MaxBucket, SInc.MaxBucket);
+  EXPECT_EQ(SPar.RowWeightedBucket, SInc.RowWeightedBucket);
   // New rows keep flowing into the merged index afterwards.
   Par.join(key(3, 999), L.odd());
   EXPECT_EQ(Par.probeExisting(Mask, F.tuple({F.integer(3)}))->back(),
             static_cast<uint32_t>(N));
+}
+
+TEST_F(TableTest, IndexStatsWeightBucketsByRows) {
+  // One hot key with 90 rows and ten keys with one row each: the average
+  // bucket is 100 / 11 rows, but a randomly chosen row sits in a bucket of
+  // (90² + 10) / 100 = 81.1 rows on average.
+  Table T(2, L, F);
+  for (int I = 0; I < 90; ++I)
+    T.join(key(0, I), L.odd());
+  for (int I = 1; I <= 10; ++I)
+    T.join(key(I, 0), L.odd());
+  T.prepareIndex(0b01);
+  Table::IndexStats S;
+  ASSERT_TRUE(T.indexStats(0b01, S));
+  EXPECT_EQ(S.Buckets, 11u);
+  EXPECT_EQ(S.MaxBucket, 90u);
+  EXPECT_DOUBLE_EQ(S.RowWeightedBucket, 81.1);
 }
 
 TEST_F(TableTest, RelationalTableViaBoolLattice) {

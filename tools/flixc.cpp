@@ -269,14 +269,16 @@ static void printPredicate(const Program &P, const SolverT &S, PredId Id) {
 
 static void printUpdateStats(unsigned UpdateNo, const UpdateStats &U) {
   std::printf("update %u: +%llu -%llu facts, %llu cells deleted, %llu "
-              "rederived, %llu derived, %llu firings, %.4f s, %llu "
+              "rederived, %llu derived, %llu firings, %llu rows scanned, "
+              "%.4f s, %llu "
               "fallback solves (%llu degraded, %llu negation)%s\n",
               UpdateNo, static_cast<unsigned long long>(U.FactsAdded),
               static_cast<unsigned long long>(U.FactsRetracted),
               static_cast<unsigned long long>(U.CellsDeleted),
               static_cast<unsigned long long>(U.CellsRederived),
               static_cast<unsigned long long>(U.FactsDerived),
-              static_cast<unsigned long long>(U.RuleFirings), U.Seconds,
+              static_cast<unsigned long long>(U.RuleFirings),
+              static_cast<unsigned long long>(U.RowsScanned), U.Seconds,
               static_cast<unsigned long long>(U.FallbackSolves),
               static_cast<unsigned long long>(U.DegradedRecoveries),
               static_cast<unsigned long long>(U.NegationFallbacks),
@@ -304,7 +306,7 @@ static void printJsonStats(const SolveStats &St, const SolverOptions &Opts) {
   std::printf(
       "{\"status\": \"%s\", \"threads\": %u, \"plans\": %s, "
       "\"memo\": %s, \"vm\": %s, \"iterations\": %llu, "
-      "\"rule_firings\": %llu, "
+      "\"rule_firings\": %llu, \"rows_scanned\": %llu, "
       "\"facts_derived\": %llu, \"plan_steps\": %llu, "
       "\"cost_based_plans\": %llu, \"replan_events\": %llu, "
       "\"estimated_vs_actual_rows\": %llu, "
@@ -322,6 +324,7 @@ static void printJsonStats(const SolveStats &St, const SolverOptions &Opts) {
       Opts.UseVm ? "true" : "false",
       static_cast<unsigned long long>(St.Iterations),
       static_cast<unsigned long long>(St.RuleFirings),
+      static_cast<unsigned long long>(St.RowsScanned),
       static_cast<unsigned long long>(St.FactsDerived),
       static_cast<unsigned long long>(St.PlanSteps),
       static_cast<unsigned long long>(St.CostBasedPlans),
@@ -377,7 +380,8 @@ static void printJsonUpdateStats(unsigned UpdateNo, const UpdateStats &U,
       "\"batch_seconds\": %.6f, \"facts_added\": %llu, "
       "\"facts_retracted\": %llu, \"cells_deleted\": %llu, "
       "\"cells_rederived\": %llu, \"iterations\": %llu, "
-      "\"rule_firings\": %llu, \"facts_derived\": %llu, "
+      "\"rule_firings\": %llu, \"rows_scanned\": %llu, "
+      "\"facts_derived\": %llu, "
       "\"full_resolve\": %s, \"fallback_solves\": %llu, "
       "\"negation_fallbacks\": %llu, \"degraded_recoveries\": %llu, "
       "\"vm_calls\": %llu, \"vm_inline_cache_hits\": %llu, "
@@ -396,6 +400,7 @@ static void printJsonUpdateStats(unsigned UpdateNo, const UpdateStats &U,
       static_cast<unsigned long long>(U.CellsRederived),
       static_cast<unsigned long long>(U.Iterations),
       static_cast<unsigned long long>(U.RuleFirings),
+      static_cast<unsigned long long>(U.RowsScanned),
       static_cast<unsigned long long>(U.FactsDerived),
       U.FullResolve ? "true" : "false",
       static_cast<unsigned long long>(U.FallbackSolves),
@@ -812,10 +817,11 @@ int main(int Argc, char **Argv) {
     }
 
     if (Stats) {
-      std::printf("\nstats: %llu iterations, %llu rule firings, %llu facts "
-                  "derived, %.3f s, %.1f MB\n",
+      std::printf("\nstats: %llu iterations, %llu rule firings, %llu rows "
+                  "scanned, %llu facts derived, %.3f s, %.1f MB\n",
                   static_cast<unsigned long long>(St.Iterations),
                   static_cast<unsigned long long>(St.RuleFirings),
+                  static_cast<unsigned long long>(St.RowsScanned),
                   static_cast<unsigned long long>(St.FactsDerived),
                   St.Seconds,
                   static_cast<double>(St.MemoryBytes) /
