@@ -27,7 +27,10 @@ Operand operandOf(const Term &T) {
   return O;
 }
 
-/// The frozen driver-first order (eval::buildOrder) as body indices.
+/// The frozen driver-first order as body indices: the driver element (when
+/// Driver >= 0) first, the rest in body order. Every family compiles with
+/// it before the cost model has statistics, and CostBasedPlans=false keeps
+/// it for the whole solve.
 SmallVector<uint32_t, 8> defaultOrder(const Rule &R, int Driver) {
   SmallVector<uint32_t, 8> O;
   if (Driver >= 0)
@@ -316,16 +319,15 @@ namespace {
 /// variables). \p DriverIsDelta selects a StepKind::Driver opening step
 /// (delta rounds) vs a normal access path for the fronted atom (rederive).
 ///
-/// Boundness is simulated exactly as the legacy recursive walk (and the
-/// static index analyses) evolve it: positive atoms bind all their
+/// Boundness is simulated along the order: positive atoms bind all their
 /// variable terms including the lattice column, binder patterns bind,
-/// negated atoms and filters bind nothing. Along a fixed order that
-/// simulation is exact, so every runtime Bound[] check of the legacy walk
-/// becomes a compile-time ColOp/LatOp choice. Any order in which filters,
-/// binders and negations run only after their arguments are bound
-/// compiles to an equivalent plan: ⊔-confluence (§3.7) makes the fixpoint
-/// independent of join order, which is what the plan-equivalence harness
-/// (PlanDifferentialTest) checks end to end.
+/// negated atoms and filters bind nothing.
+/// Along a fixed order that simulation is exact, so every boundness
+/// question becomes a compile-time ColOp/LatOp choice. Any order in which
+/// filters, binders and negations run only after their arguments are
+/// bound compiles to an equivalent plan: ⊔-confluence (§3.7) makes the
+/// fixpoint independent of join order, which is what the plan-equivalence
+/// harness (PlanDifferentialTest) checks end to end.
 RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
                      int Driver, const std::vector<bool> &PreBound,
                      bool DriverIsDelta, bool UseIndexes,
@@ -415,7 +417,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
 
     // Full column tests with sequential in-atom boundness: the first
     // occurrence of a variable binds, later occurrences (in this atom)
-    // check — exactly the legacy matchAtomRow behavior.
+    // check.
     {
       std::vector<bool> InAtom = BoundVar;
       for (unsigned I = 0; I < KA; ++I) {
@@ -436,7 +438,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
         S.Cols.push_back(Ct);
       }
       if (!D.isRelational()) {
-        // The lattice column sees the key columns' binds (legacy order).
+        // The lattice column sees the key columns' binds.
         const Term &Lt = A.Terms[KA];
         if (!Lt.isVar()) {
           S.LOp = LatOp::CheckConstLeq;
@@ -454,8 +456,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
     if (Pos == 0 && Driver >= 0 && DriverIsDelta) {
       S.Kind = StepKind::Driver;
     } else {
-      // Access-path mask from pre-atom boundness — identical to the
-      // legacy evalAtom mask and the static index analyses.
+      // Access-path mask from pre-atom boundness.
       uint64_t Mask = 0;
       for (unsigned I = 0; I < KA; ++I) {
         const Term &Tm = A.Terms[I];
@@ -543,16 +544,36 @@ bool replanOne(const Program &P, bool UseIndexes, RulePlan &Pl,
   return true;
 }
 
+/// The negation-driven family's pre-bound set for the negated atom at
+/// body index \p NegIdx: its key variables, which the caller binds from
+/// the key that just left the negated table.
+std::vector<bool> negKeyVars(const Program &P, const Rule &R,
+                             uint32_t NegIdx) {
+  const auto &A = std::get<BodyAtom>(R.Body[NegIdx]);
+  std::vector<bool> Vars(R.NumVars, false);
+  unsigned KA = P.predicate(A.Pred).keyArity();
+  for (unsigned I = 0; I < KA; ++I)
+    if (A.Terms[I].isVar())
+      Vars[A.Terms[I].Variable] = true;
+  return Vars;
+}
+
+bool isNegatedAtom(const BodyElem &E) {
+  const auto *A = std::get_if<BodyAtom>(&E);
+  return A && A->Negated;
+}
+
 } // namespace
 
-PlanLibrary::PlanLibrary(const Program &P, const std::vector<Rule> &Prepared,
-                         bool UseIndexes)
-    : Prog(&P), Rules(&Prepared), UseIndexes(UseIndexes) {
-  Normal.resize(Prepared.size());
-  HeadBound.resize(Prepared.size());
-  HeadVarsByRule.resize(Prepared.size());
-  for (uint32_t RI = 0; RI < Prepared.size(); ++RI) {
-    const Rule &R = Prepared[RI];
+PlanLibrary::PlanLibrary(const Program &P, bool UseIndexes)
+    : Prog(&P), UseIndexes(UseIndexes) {
+  const std::vector<Rule> &Rules = P.rules();
+  Normal.resize(Rules.size());
+  HeadBound.resize(Rules.size());
+  NegDriven.resize(Rules.size());
+  HeadVarsByRule.resize(Rules.size());
+  for (uint32_t RI = 0; RI < Rules.size(); ++RI) {
+    const Rule &R = Rules[RI];
     Normal[RI].resize(R.Body.size() + 1);
     HeadBound[RI].resize(R.Body.size() + 1);
 
@@ -586,6 +607,22 @@ PlanLibrary::PlanLibrary(const Program &P, const std::vector<Rule> &Prepared,
                        /*DriverIsDelta=*/false, UseIndexes, DefView);
       TotalSteps += N.Steps.size() + HB.Steps.size();
     }
+
+    // Negation-driven family: only rules that negate, so programs without
+    // negation compile (and re-plan) nothing extra.
+    if (std::none_of(R.Body.begin(), R.Body.end(), isNegatedAtom))
+      continue;
+    NegDriven[RI].resize(R.Body.size());
+    for (uint32_t BI = 0; BI < R.Body.size(); ++BI) {
+      if (!isNegatedAtom(R.Body[BI]))
+        continue;
+      SmallVector<uint32_t, 8> Def = defaultOrder(R, static_cast<int>(BI));
+      RulePlan &ND = NegDriven[RI][BI];
+      ND = compilePlan(P, R, RI, static_cast<int>(BI), negKeyVars(P, R, BI),
+                       /*DriverIsDelta=*/false, UseIndexes,
+                       {Def.data(), Def.size()});
+      TotalSteps += ND.Steps.size();
+    }
   }
 }
 
@@ -605,8 +642,9 @@ PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold,
   LastStats = Stats;
 
   static const std::vector<bool> NoBound;
-  for (uint32_t RI = 0; RI < Rules->size(); ++RI) {
-    const Rule &R = (*Rules)[RI];
+  const std::vector<Rule> &Rules = Prog->rules();
+  for (uint32_t RI = 0; RI < Rules.size(); ++RI) {
+    const Rule &R = Rules[RI];
     for (int Driver = -1; Driver < static_cast<int>(R.Body.size());
          ++Driver) {
       RulePlan &N = Normal[RI][static_cast<size_t>(Driver + 1)];
@@ -624,6 +662,15 @@ PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold,
                            Stats, Threshold);
       Res.Replanned += Changed;
     }
+    for (uint32_t BI = 0; BI < NegDriven[RI].size(); ++BI) {
+      RulePlan &ND = NegDriven[RI][BI];
+      if (ND.Valid)
+        Res.Replanned += replanOne(*Prog, UseIndexes, ND, R, RI,
+                                   static_cast<int>(BI),
+                                   /*DriverIsDelta=*/false,
+                                   negKeyVars(*Prog, R, BI), Stats,
+                                   Threshold);
+    }
   }
   if (Res.Replanned)
     recountDerived();
@@ -633,20 +680,27 @@ PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold,
 void PlanLibrary::recountDerived() {
   TotalSteps = 0;
   CostBased = 0;
+  auto IsDefault = [](const RulePlan &Pl, const Rule &R) {
+    SmallVector<uint32_t, 8> Def = defaultOrder(R, Pl.Driver);
+    return sameOrder({Pl.BodyOrder.data(), Pl.BodyOrder.size()},
+                     {Def.data(), Def.size()});
+  };
   for (uint32_t RI = 0; RI < Normal.size(); ++RI) {
-    const Rule &R = (*Rules)[RI];
+    const Rule &R = Prog->rules()[RI];
     for (size_t D = 0; D < Normal[RI].size(); ++D) {
       const RulePlan &N = Normal[RI][D];
       if (!N.Valid)
         continue;
       const RulePlan &HB = HeadBound[RI][D];
       TotalSteps += N.Steps.size() + HB.Steps.size();
-      SmallVector<uint32_t, 8> Def =
-          defaultOrder(R, static_cast<int>(D) - 1);
-      std::span<const uint32_t> DefView(Def.data(), Def.size());
-      if (!sameOrder({N.BodyOrder.data(), N.BodyOrder.size()}, DefView) ||
-          !sameOrder({HB.BodyOrder.data(), HB.BodyOrder.size()}, DefView))
+      if (!IsDefault(N, R) || !IsDefault(HB, R))
         ++CostBased;
+    }
+    for (const RulePlan &ND : NegDriven[RI]) {
+      if (!ND.Valid)
+        continue;
+      TotalSteps += ND.Steps.size();
+      CostBased += !IsDefault(ND, R);
     }
   }
 }
@@ -665,6 +719,7 @@ void PlanLibrary::wantedIndexes(
   };
   Collect(Normal);
   Collect(HeadBound);
+  Collect(NegDriven);
   for (std::vector<uint64_t> &Masks : MasksByPred) {
     std::sort(Masks.begin(), Masks.end());
     Masks.erase(std::unique(Masks.begin(), Masks.end()), Masks.end());

@@ -6,22 +6,21 @@
 ///
 /// \file
 /// Ahead-of-time compilation of rule bodies into flat, array-based join
-/// plans, plus a memo cache for pure external functions. Together they
-/// attack the two §4.5 hot spots that remain after hash-consing: the
-/// per-row interpretive dispatch of the recursive
-/// evalElems/evalAtom/matchAtomRow walk, and repeated re-evaluation of
-/// pure transfer/filter functions.
+/// plans, plus a memo cache for pure external functions. A compiled plan
+/// is the only way any engine evaluates a rule body; together with the
+/// memo cache it attacks the two §4.5 hot spots that remain after
+/// hash-consing: per-row interpretive dispatch, and repeated
+/// re-evaluation of pure transfer/filter functions.
 ///
-/// A RulePlan is compiled once per (prepared rule, driver position) after
-/// body reordering. Each Step pre-resolves everything the recursive walk
-/// recomputed per row: the access path (primary lookup, indexed probe with
-/// its bound-column mask, or full scan), per-column operations (constant
-/// test, bound-variable test, or first-occurrence bind), the lattice-
-/// column operation (ground ⊑ test, bind, or ⊓-rebind), and filter guards
-/// fused onto the step after which their arguments are bound. Boundness is
-/// *static* along an evaluation order — the same simulation the parallel
-/// solver's index analysis runs — so every per-row branch of the legacy
-/// walk becomes a precomputed opcode.
+/// A RulePlan is compiled once per (rule, driver position). Each Step
+/// pre-resolves everything that would otherwise be decided per row: the
+/// access path (primary lookup, indexed probe with its bound-column mask,
+/// or full scan), per-column operations (constant test, bound-variable
+/// test, or first-occurrence bind), the lattice-column operation (ground
+/// ⊑ test, bind, or ⊓-rebind), and filter guards fused onto the step after
+/// which their arguments are bound. Boundness is *static* along an
+/// evaluation order, so every per-row boundness branch becomes a
+/// precomputed opcode.
 ///
 /// PlanExecutor runs a plan with an explicit cursor stack instead of
 /// recursion. It is templated over a small engine policy so the sequential
@@ -35,14 +34,14 @@
 /// functions"), so f(args) is uniquely determined by the argument handles
 /// and caching cannot change the least fixed point. The cache is
 /// lock-sharded; a racing miss may compute the same result twice, which is
-/// benign for a pure function.
+/// benign for a pure function. callExtern is the one extern dispatch every
+/// engine uses: VM or interpreter, its counters, and memo routing.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FLIX_FIXPOINT_PLAN_H
 #define FLIX_FIXPOINT_PLAN_H
 
-#include "fixpoint/EvalUtil.h"
 #include "fixpoint/Program.h"
 #include "fixpoint/Table.h"
 
@@ -51,8 +50,26 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace flix::plan {
+
+/// Undo log for variable bindings within one step's candidate match.
+struct BindTrail {
+  SmallVector<std::pair<VarId, std::pair<bool, Value>>, 4> Saved;
+
+  void save(VarId V, bool WasBound, Value Old) {
+    Saved.push_back({V, {WasBound, Old}});
+  }
+  void undo(std::vector<Value> &Env, std::vector<uint8_t> &Bound) {
+    for (size_t I = Saved.size(); I-- > 0;) {
+      Env[Saved[I].first] = Saved[I].second.second;
+      Bound[Saved[I].first] = Saved[I].second.first;
+    }
+    Saved.clear();
+  }
+};
 
 /// Per-key-column operation of one step, decided at compile time from the
 /// static boundness of the column's term.
@@ -102,9 +119,8 @@ enum class StepKind : uint8_t {
   /// processed in order and every negated predicate lives strictly below
   /// the rules that negate it, so its table is final (all net inserts
   /// and retracts applied) before any Negation step of this update reads
-  /// it. This is why neither a "pre-batch view" nor a negated-driver
-  /// plan family exists: insertion deltas for `not P` are driven through
-  /// Solver::evalNegationDriven on the legacy recursive path instead.
+  /// it. The negation-driven family (PlanLibrary::negDrivenPlan) opens
+  /// with such a step over pre-bound key variables.
   Negation,
   Binder,   ///< `pat <- f(args)`: iterate the returned set
   Filter,   ///< leading filter with no preceding step to fuse onto
@@ -152,8 +168,8 @@ struct HeadPlan {
   Operand LastOp{};
 };
 
-/// One compiled (rule, driver) evaluation: the flat step array replacing
-/// the recursive body walk, plus the head recipe.
+/// One compiled (rule, driver) evaluation: the flat step array plus the
+/// head recipe.
 struct RulePlan {
   uint32_t RuleIdx = 0;
   int32_t Driver = -1;
@@ -245,7 +261,7 @@ SmallVector<uint32_t, 8> chooseOrder(const Program &P, const Rule &R,
                                      const StatsVec &Stats, bool UseIndexes,
                                      const std::vector<bool> &PreBound);
 
-/// Compiles and owns the plans of one prepared rule set. Two families:
+/// Compiles and owns the plans of one program's rules. Three families:
 ///
 ///   * plan(RuleIdx, Driver): the normal delta-driven family. Driver == -1
 ///     is plain first-to-last evaluation (round 0 / naive); Driver >= 0
@@ -254,17 +270,20 @@ SmallVector<uint32_t, 8> chooseOrder(const Program &P, const Rule &R,
 ///     family, compiled with every head-key variable pre-bound; Driver
 ///     >= 0 moves that atom first but opens with a normal access path
 ///     (lookup/probe/scan), not a Driver step.
+///   * negDrivenPlan(RuleIdx, NegIdx): the incremental engine's
+///     negation-driven family (Solver::evalNegationDriven), compiled only
+///     for rules with a negated atom. The negated atom at body index
+///     NegIdx opens the plan as a ground StepKind::Negation step over its
+///     pre-bound key variables; the rest of the body follows.
 ///
-/// The compiler runs the same boundness simulation as the parallel
-/// solver's computeWantedIndexes / the incremental solver's
-/// prepareWorkerIndexes (negated atoms bind nothing, positive atoms bind
-/// every variable term including the lattice column, binder patterns bind,
-/// filters bind nothing), so the probe masks of the compiled steps are
-/// exactly the masks those analyses pre-build.
+/// The compiler simulates boundness along each order (negated atoms bind
+/// nothing, positive atoms bind every variable term including the
+/// lattice column, binder patterns bind, filters bind nothing), and
+/// wantedIndexes() reads the probe masks off the compiled steps, so the
+/// indexes the engines pre-build are exactly the ones the plans probe.
 class PlanLibrary {
 public:
-  PlanLibrary(const Program &P, const std::vector<Rule> &Prepared,
-              bool UseIndexes);
+  PlanLibrary(const Program &P, bool UseIndexes);
 
   const RulePlan &plan(uint32_t RuleIdx, int Driver) const {
     const RulePlan &Pl = Normal[RuleIdx][static_cast<size_t>(Driver + 1)];
@@ -276,8 +295,17 @@ public:
     assert(Pl.Valid && "no head-bound plan for this driver position");
     return Pl;
   }
+  const RulePlan &negDrivenPlan(uint32_t RuleIdx, uint32_t NegIdx) const {
+    assert(NegIdx < NegDriven[RuleIdx].size() &&
+           NegDriven[RuleIdx][NegIdx].Valid &&
+           "no negation-driven plan for this negated atom");
+    const RulePlan &Pl = NegDriven[RuleIdx][NegIdx];
+    assert(Pl.Steps[0].Kind == StepKind::Negation &&
+           "negation-driven plans open with their negated atom");
+    return Pl;
+  }
 
-  /// Total compiled steps over all valid plans of both families
+  /// Total compiled steps over all valid plans of every family
   /// (SolveStats::PlanSteps).
   uint64_t totalSteps() const { return TotalSteps; }
 
@@ -289,30 +317,31 @@ public:
     uint64_t RowsDivergence = 0;
   };
 
-  /// Re-evaluates every (rule, driver) pair of both families against
-  /// \p Stats: a pair is recompiled with the cost model's chosen order
-  /// when its current order's estimated cost exceeds \p Threshold × the
-  /// best candidate's (so Threshold 1.0 adopts any strict improvement —
-  /// the initial cost-based choose — and larger thresholds add hysteresis
-  /// for the adaptive between-round checks). Single-threaded callers only:
-  /// plans are replaced in place at round boundaries, never during an eval
+  /// Re-evaluates every plan of every family against \p Stats: a plan is
+  /// recompiled with the cost model's chosen order when its current
+  /// order's estimated cost exceeds \p Threshold × the best candidate's
+  /// (so Threshold 1.0 adopts any strict improvement — the initial
+  /// cost-based choose — and larger thresholds add hysteresis for the
+  /// adaptive between-round checks). Single-threaded callers only: plans
+  /// are replaced in place at round boundaries, never during an eval
   /// phase.
   ///
   /// A non-empty \p Deltas (indexed by PredId: the rows the next round
   /// drives from) restricts the delta-driven family to the plans that
   /// round runs. A plan whose driver predicate has no delta is skipped;
-  /// the check before the round that drives it covers it. The round-0
-  /// and rederive plans are always checked.
+  /// the check before the round that drives it covers it. The round-0,
+  /// rederive and negation-driven plans are always checked.
   ReplanResult
   replanFromStats(const StatsVec &Stats, double Threshold,
                   std::span<const std::vector<uint32_t>> Deltas = {});
 
-  /// (rule, driver) pairs whose current order differs from the frozen
-  /// driver-first order (SolveStats::CostBasedPlans).
+  /// Plans whose current order differs from the frozen driver-first
+  /// order, counted once per (rule, driver) and once per negation-driven
+  /// plan (SolveStats::CostBasedPlans).
   unsigned costBasedPlans() const { return CostBased; }
 
   /// Appends, per predicate, the bound-column masks of every Probe step in
-  /// any compiled plan of either family (sorted, deduplicated). Because it
+  /// any compiled plan of any family (sorted, deduplicated). Because it
   /// reads the *compiled* plans rather than re-simulating an assumed
   /// order, it stays correct for any cost-chosen order — the static index
   /// analyses build exactly these masks, so StrictIndexCoverage cannot
@@ -324,10 +353,12 @@ private:
   void recountDerived();
 
   const Program *Prog = nullptr;
-  const std::vector<Rule> *Rules = nullptr;
   bool UseIndexes = true;
   std::vector<std::vector<RulePlan>> Normal;
   std::vector<std::vector<RulePlan>> HeadBound;
+  /// Per rule: one slot per body index, valid at negated atoms; empty for
+  /// rules without negation.
+  std::vector<std::vector<RulePlan>> NegDriven;
   /// Per-rule pre-bound variable sets of the rederive family.
   std::vector<std::vector<bool>> HeadVarsByRule;
   /// Statistics snapshot of the last replanFromStats call (divergence
@@ -424,6 +455,36 @@ private:
   std::array<Shard, NumShards> Shards;
   std::atomic<uint64_t> Hits{0}, Misses{0};
 };
+
+/// The one extern dispatch every engine routes through. Picks the
+/// bytecode-VM body when \p UseVm and one is attached (an interpreted
+/// function without one counts in \p InterpFallbacks), runs it through
+/// \p Memo when non-null, and counts actual VM executions (memo hits
+/// excluded) in \p VmCalls. The counters are the caller's own slots, so
+/// parallel workers count without sharing.
+inline Value callExtern(const Program &P, FnId Fn,
+                        std::span<const Value> Args, bool UseVm,
+                        ExternMemo *Memo, uint64_t &VmCalls,
+                        uint64_t &InterpFallbacks) {
+  const ExternFn &D = P.functionDecl(Fn);
+  const ExternImpl *Impl = &D.Impl;
+  bool ViaVm = false;
+  if (UseVm) {
+    if (D.VmImpl) {
+      Impl = &D.VmImpl;
+      ViaVm = true;
+    } else if (D.InterpOnly) {
+      ++InterpFallbacks;
+    }
+  }
+  auto Compute = [&] {
+    VmCalls += ViaVm;
+    return (*Impl)(Args);
+  };
+  if (Memo)
+    return Memo->call(Fn, Args, Compute);
+  return Compute();
+}
 
 //===----------------------------------------------------------------------===//
 // PlanExecutor
@@ -534,7 +595,7 @@ private:
     bool Done = false;        ///< one-shot steps (Filter, Negation)
     bool UseFullCols = false; ///< probe fell back to a full scan
     bool HasPremise = false;
-    eval::BindTrail Trail;
+    BindTrail Trail;
   };
 
   void prepare(const RulePlan &Pl) {

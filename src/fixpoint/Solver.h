@@ -16,9 +16,11 @@
 ///     re-evaluated once per body atom with that atom instantiated from
 ///     ΔP and the rest from the full tables.
 ///
-/// Both strategies evaluate rule bodies left-to-right with automatic hash
-/// indexes on the bound-column patterns (§4.5); an optional greedy
-/// reordering of body atoms is available as an ablation.
+/// Both strategies evaluate every rule body through a compiled join plan
+/// (fixpoint/Plan.h) with automatic hash indexes on the bound-column
+/// patterns (§4.5). The cost-based planner chooses each plan's join order
+/// from table statistics; SolverOptions::CostBasedPlans off freezes the
+/// textual driver-first order instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +41,7 @@ namespace flix {
 namespace plan {
 class PlanLibrary;
 class ExternMemo;
+struct RulePlan;
 } // namespace plan
 
 /// Evaluation strategy (see file comment).
@@ -50,9 +53,6 @@ struct SolverOptions {
   /// Use lazily created secondary hash indexes for partially bound atoms;
   /// when false, every partially bound atom falls back to a full scan.
   bool UseIndexes = true;
-  /// Greedily reorder body elements to maximize bound columns (ablation
-  /// for the paper's left-to-right evaluation, §4.5).
-  bool ReorderBody = false;
   /// Abort with Status::Timeout after this many seconds (0 = unlimited).
   double TimeLimitSeconds = 0;
   /// Abort after this many delta iterations (0 = unlimited).
@@ -69,15 +69,9 @@ struct SolverOptions {
   /// off by default.
   bool TrackSupport = false;
   /// Worker threads for the ParallelSolver (src/parallel). 0 selects the
-  /// sequential legacy path (this class); the sequential Solver itself
-  /// ignores the field. Callers that accept SolverOptions dispatch on it.
+  /// sequential engine (this class); the sequential Solver itself ignores
+  /// the field. Callers that accept SolverOptions dispatch on it.
   unsigned NumThreads = 0;
-  /// Serialize every external-function call behind one mutex in the
-  /// parallel solver. Required when the externals are not thread-safe —
-  /// e.g. the AST interpreter backing compiled FLIX source; native
-  /// analyses whose externals only touch the (lock-sharded) ValueFactory
-  /// leave this off.
-  bool SerializeExternals = false;
   /// Intra-rule join parallelism (parallel solver only): when one atom's
   /// index bucket or full scan has more than this many remaining rows,
   /// the worker splits the tail into sub-tasks pushed onto its
@@ -93,11 +87,6 @@ struct SolverOptions {
   /// SolveStats::IndexFallbacks; with this flag set they also trip an
   /// assert in debug builds. Meaningful only with UseIndexes.
   bool StrictIndexCoverage = false;
-  /// Compile each (rule, driver) into a flat join plan executed by a
-  /// non-recursive loop (src/fixpoint/Plan.h) instead of the recursive
-  /// evalElems/evalAtom walk. Same minimal model either way; off is the
-  /// legacy-recursion ablation.
-  bool CompilePlans = true;
   /// Memoize external-function calls on their hash-consed argument
   /// handles. Sound because the paper requires transfer/filter functions
   /// to be pure (§2.3); turn off to ablate, or if an extern violates the
@@ -109,19 +98,11 @@ struct SolverOptions {
   /// (differentially tested); off is the interpreter ablation
   /// (flixc --no-vm).
   bool UseVm = true;
-  /// Bytecode optimization pipeline level the VM compiled under
-  /// (flixc/flixd --vm-opt-level): 0 = off, 1 = local passes,
-  /// 2 = inlining + local passes. Informational at the solver layer —
-  /// the pipeline runs at compile time (FlixCompiler::setVmOptLevel);
-  /// tools carry the flag here so every consumer sees one source of
-  /// truth.
-  int VmOptLevel = 2;
   /// Choose join orders with the statistics-driven cost model
   /// (plan::chooseOrder) once facts are loaded, instead of freezing the
   /// driver-first order at compile time. Identical minimal model either
   /// way (⊔-confluence, checked by PlanDifferentialTest); off is the
-  /// frozen-greedy ablation (flixc --no-cost-plans). Only meaningful with
-  /// CompilePlans.
+  /// frozen textual driver-first order (flixc --no-cost-plans).
   bool CostBasedPlans = true;
   /// Adaptive re-planning (CostBasedPlans only): between semi-naive
   /// rounds, re-plan any (rule, driver) the next round runs whose current
@@ -179,9 +160,9 @@ struct SolveStats {
   /// cache — everything the solver keeps alive.
   size_t MemoryBytes = 0;
 
-  // Plan/memo counters (SolverOptions::CompilePlans / EnableMemo).
-  uint64_t PlanSteps = 0;  ///< compiled plan steps over all (rule, driver)
-                           ///< plans (0 when plans are disabled)
+  // Plan/memo counters (SolverOptions::EnableMemo).
+  uint64_t PlanSteps = 0;  ///< compiled plan steps over all plans of every
+                           ///< family (fixpoint/Plan.h PlanLibrary)
   // Cost-based planner counters (SolverOptions::CostBasedPlans).
   uint64_t CostBasedPlans = 0; ///< (rule, driver) pairs whose current
                                ///< order differs from the frozen
@@ -195,13 +176,9 @@ struct SolveStats {
   /// estimated against. Large values with ReplanEvents == 0 mean the
   /// hysteresis threshold absorbed the drift.
   uint64_t EstimatedVsActualRows = 0;
-  /// Incremental-engine escape hatches taken so far: update() batches
-  /// that fell back to a from-scratch solve. Always the sum of the two
-  /// reason counters below; kept as the headline total operators already
-  /// watch (flixc --stats / --json, the daemon's `stats` reply). Always 0
-  /// for a plain one-shot Solver run. Cumulative over the
-  /// IncrementalSolver's lifetime.
-  uint64_t FallbackSolves = 0;
+  // Incremental-engine escape hatches: update() batches that fell back to
+  // a from-scratch solve, by reason. Always 0 for a plain one-shot Solver
+  // run; cumulative over the IncrementalSolver's lifetime.
   /// Fallbacks taken because a staged fact reached a negated predicate.
   /// This escape hatch was retired — negation-touching batches now run
   /// stratum-local DRed incrementally — so the counter is an operator-
@@ -247,13 +224,6 @@ struct SolveStats {
 
   bool ok() const { return St == Status::Fixpoint; }
 };
-
-/// Greedily reorders a rule's body to maximize bound columns at each
-/// step (ablation for the paper's left-to-right evaluation, §4.5).
-/// Shared by the sequential Solver and the parallel solver
-/// (src/parallel/ParallelSolver.h), both of which apply it when
-/// SolverOptions::ReorderBody is set.
-Rule reorderRuleGreedy(const Rule &R);
 
 /// Solves one Program. The solver owns the predicate tables; query them
 /// through the accessors after solve() returns.
@@ -308,25 +278,19 @@ public:
 
 private:
   friend class IncrementalSolver;
-  struct Frame;
   struct PlanEngine;
 
   void loadFacts();
-  void evalRule(const Rule &R, int Driver,
+  /// Evaluates rule \p RI's delta-driven plan for \p Driver (-1: plain
+  /// first-to-last evaluation) over \p DriverRows.
+  void evalRule(uint32_t RI, int Driver,
                 const std::vector<uint32_t> &DriverRows);
-  void evalElems(const Rule &R,
-                 std::span<const BodyElem *const> Order, size_t Pos);
-  void matchAtomRow(const Rule &R, const BodyAtom &A, uint32_t RowId,
-                    std::span<const BodyElem *const> Order, size_t Pos);
-  void evalAtom(const Rule &R, const BodyAtom &A,
-                std::span<const BodyElem *const> Order, size_t Pos);
-  void deriveHead(const Rule &R);
+  /// Runs \p Pl from its first step over the current Env/Bound.
+  void runPlan(const plan::RulePlan &Pl);
+  /// Pre-binds \p T to \p V before a head-bound or negation-driven plan
+  /// runs; false if a constant or an already-bound variable disagrees.
+  bool preBind(const Term &T, Value V);
   bool checkDeadline();
-  /// External-function dispatch: through the memo cache when EnableMemo,
-  /// else straight to the implementation. Both the legacy recursive walk
-  /// and the plan executor call externs through here.
-  Value callExtern(FnId Fn, std::span<const Value> Args);
-  Rule reorderRule(const Rule &R) const;
   void recordProvenance(const Rule &R, PredId HeadPred, uint32_t RowId);
   void recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId);
   /// Head-bound re-derivation (the incremental engine's "Re-derive"): for
@@ -340,10 +304,10 @@ private:
   /// for `not P`): for every negated atom on \p NegPred in rule \p RI,
   /// pre-binds that atom's key terms against \p KeyTuple — a key whose
   /// row just left \p NegPred's table, making the ground negation true —
-  /// and evaluates the rest of the body over the current database with
-  /// the negated atom fronted as the driver. Always takes the legacy
-  /// recursive path (the plan library compiles no negated-driver family);
-  /// derivations land in NextDelta as usual. Sound because the engine
+  /// and runs that atom's negation-driven plan
+  /// (PlanLibrary::negDrivenPlan), which opens with the now-true negation
+  /// and evaluates the rest of the body over the current database.
+  /// Derivations land in NextDelta as usual. Sound because the engine
   /// calls this only after NegPred's stratum has settled, when its table
   /// is final for the update.
   void evalNegationDriven(uint32_t RI, PredId NegPred, Value KeyTuple);
@@ -358,7 +322,7 @@ private:
   /// improvement (the initial post-loadFacts choice); larger values are
   /// the adaptive between-round hysteresis. \p CountEvents selects
   /// whether replans land in SolveStats::ReplanEvents (adaptive checks
-  /// only). No-op unless plans are compiled and CostBasedPlans is set.
+  /// only). No-op unless CostBasedPlans is set.
   /// Called only at single-threaded points (solve start, round
   /// boundaries) — also by the incremental engine between delta rounds.
   /// Returns true if any plan changed (the incremental engine then
@@ -373,10 +337,9 @@ private:
   ValueFactory &F;
   std::unique_ptr<BoolLattice> RelLattice;
   std::vector<std::unique_ptr<Table>> Tables;
-  std::vector<Rule> Prepared; ///< rules, possibly reordered
 
-  /// Compiled join plans (when CompilePlans) and the extern memo cache
-  /// (when EnableMemo); see src/fixpoint/Plan.h.
+  /// Compiled join plans of every rule and the extern memo cache (when
+  /// EnableMemo); see src/fixpoint/Plan.h.
   std::unique_ptr<plan::PlanLibrary> Plans;
   std::unique_ptr<plan::ExternMemo> Memo;
 
@@ -384,7 +347,7 @@ private:
   std::vector<Value> Env;
   std::vector<uint8_t> Bound;
   const std::vector<uint32_t> *CurDriverRows = nullptr;
-  uint32_t CurRuleIndex = 0; ///< index into Prepared, for provenance
+  uint32_t CurRuleIndex = 0; ///< index into P.rules(), for provenance
 
   /// Provenance (when tracked): per predicate, per row id, the last
   /// increasing derivation.
@@ -411,7 +374,7 @@ private:
   /// P.facts() — the incremental engine's materialized fact store.
   const std::vector<Fact> *FactsOverride = nullptr;
 
-  /// Rule indexes (into Prepared) grouped by head predicate, for
+  /// Rule indexes (into P.rules()) grouped by head predicate, for
   /// rederive().
   std::vector<std::vector<uint32_t>> RulesByHead;
 

@@ -199,11 +199,7 @@ Json Server::handleLoad(const Request &R) {
                         "database '" + Name + "' is being loaded");
   }
 
-  Session::Options SO;
-  SO.Solve = Opt.Solve;
-  SO.MaxPendingFacts = Opt.MaxPendingFactsPerDb;
-  SO.UpdateTimeLimitSeconds = Opt.UpdateTimeLimitSeconds;
-  auto S = std::make_shared<Session>(Name, SO);
+  auto S = std::make_shared<Session>(Name, Opt.Db);
   ErrCode Code = ErrCode::CompileError;
   std::string Err;
   bool Loaded = S->load(SrcJ->Str, R.DL, Code, Err);

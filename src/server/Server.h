@@ -57,13 +57,10 @@ struct ServerOptions {
   /// Hard per-request-line byte bound; framing closes the connection
   /// after an oversized line.
   size_t MaxLineBytes = size_t(4) << 20;
-  /// Per-database admission bound on staged-but-uncommitted fact rows.
-  uint64_t MaxPendingFactsPerDb = uint64_t(1) << 20;
-
-  /// Solver options for every database's IncrementalSolver.
-  SolverOptions Solve;
-  /// Per-update-batch solve budget in seconds (0 = unbounded).
-  double UpdateTimeLimitSeconds = 0;
+  /// Options every database is created with: its solver options, the
+  /// admission bound on staged fact rows, the per-batch solve budget and
+  /// the VM optimization level.
+  Session::Options Db;
 };
 
 class Server {

@@ -83,7 +83,7 @@ bool Session::load(const std::string &Source, Deadline DL, ErrCode &Code,
   // Honor the daemon's engine flags (flixd --no-vm / --vm-opt-level) in
   // every database this server compiles.
   Compiler->setUseVm(Opt.Solve.UseVm);
-  Compiler->setVmOptLevel(Opt.Solve.VmOptLevel);
+  Compiler->setVmOptLevel(Opt.VmOptLevel);
   if (!Compiler->compile(Source, DbName + ".flix")) {
     Code = ErrCode::CompileError;
     Err = Compiler->diagnostics();
@@ -446,8 +446,6 @@ Json Session::statsJson() {
   S.set("deadline_expired_waits",
         Json::integer(int64_t(DeadlineExpiredWaits)));
   S.set("update_seconds_total", Json::number(TotalUpdateSeconds));
-  S.set("fallback_solves",
-        Json::integer(int64_t(LastUpdate.FallbackSolves)));
   S.set("negation_fallbacks",
         Json::integer(int64_t(LastUpdate.NegationFallbacks)));
   S.set("degraded_recoveries",

@@ -68,6 +68,10 @@ public:
     uint64_t MaxPendingFacts = uint64_t(1) << 20;
     /// Per-batch solve budget (0 = unbounded); see the file comment.
     double UpdateTimeLimitSeconds = 0;
+    /// Bytecode optimization pipeline level this database's FLIX source
+    /// compiles under (FlixCompiler::setVmOptLevel; flixd --vm-opt-level):
+    /// 0 = off, 1 = local passes, 2 = inlining + local passes.
+    int VmOptLevel = 2;
   };
 
   Session(std::string Name, Options Opt);

@@ -1,16 +1,17 @@
-//===- tests/PlanDifferentialTest.cpp - compiled plans vs legacy joins ----===//
+//===- tests/PlanDifferentialTest.cpp - plan configurations vs naive ------===//
 //
 // Part of flix-cpp, a C++ reproduction of "From Datalog to FLIX" (PLDI'16).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// Differential matrix for the compiled-plan executor and the extern
-/// memo cache: CompilePlans {off,on} x EnableMemo {off,on} x
-/// NumThreads {0,1,8} x ReorderBody {off,on} — 24 configurations per
-/// workload — must all produce models identical to the legacy recursive
-/// join evaluator running sequentially. The solvers share each
-/// workload's hash-consed inputs, so equality of the extracted results
-/// is exact, not just structural.
+/// memo cache: EnableMemo {off,on} x NumThreads {0,1,8} x
+/// CostBasedPlans {off,on} — 12 configurations per workload — must all
+/// produce models identical to the sequential naive solver without memo
+/// (the direct reading of the immediate-consequence operator, §3.1),
+/// which is itself anchored on the imperative baseline of each workload.
+/// The solvers share each workload's hash-consed inputs, so equality of
+/// the extracted results is exact, not just structural.
 ///
 /// Workloads are the three paper case-study families: shortest paths on
 /// a weighted graph (lattice transfer function), IFDS on a synthetic
@@ -38,41 +39,38 @@ using namespace flix;
 
 namespace {
 
-/// The full 24-configuration matrix.
+/// The full 12-configuration matrix.
 std::vector<SolverOptions> matrix() {
   std::vector<SolverOptions> Out;
-  for (bool Plans : {false, true})
-    for (bool Memo : {false, true})
-      for (unsigned Threads : {0u, 1u, 8u})
-        for (bool Reorder : {false, true}) {
-          SolverOptions O;
-          O.CompilePlans = Plans;
-          O.EnableMemo = Memo;
-          O.NumThreads = Threads;
-          O.ReorderBody = Reorder;
-          Out.push_back(O);
-        }
+  for (bool Memo : {false, true})
+    for (unsigned Threads : {0u, 1u, 8u})
+      for (bool Cost : {false, true}) {
+        SolverOptions O;
+        O.EnableMemo = Memo;
+        O.NumThreads = Threads;
+        O.CostBasedPlans = Cost;
+        Out.push_back(O);
+      }
   return Out;
 }
 
-/// Sequential legacy evaluator: the pre-plan recursive join, no memo.
-SolverOptions legacy() {
+/// The oracle: the sequential naive solver, no memo.
+SolverOptions naive() {
   SolverOptions O;
-  O.CompilePlans = false;
+  O.Strat = Strategy::Naive;
   O.EnableMemo = false;
   return O;
 }
 
 std::string describe(const SolverOptions &O) {
-  return "plans=" + std::to_string(O.CompilePlans) +
-         " memo=" + std::to_string(O.EnableMemo) +
+  return "memo=" + std::to_string(O.EnableMemo) +
          " threads=" + std::to_string(O.NumThreads) +
-         " reorder=" + std::to_string(O.ReorderBody);
+         " cost=" + std::to_string(O.CostBasedPlans);
 }
 
 TEST(PlanDifferentialTest, ShortestPathsMatrix) {
   WeightedGraph G = generateGraph(11, 150, 4.0, 12);
-  SsspResult Base = runShortestPathsFlix(G, 0, legacy());
+  SsspResult Base = runShortestPathsFlix(G, 0, naive());
   ASSERT_TRUE(Base.Ok);
   // Anchor the baseline itself against the imperative solver.
   EXPECT_EQ(Base.Dist, runDijkstra(G, 0).Dist);
@@ -86,24 +84,22 @@ TEST(PlanDifferentialTest, ShortestPathsMatrix) {
 TEST(PlanDifferentialTest, IfdsMatrix) {
   IcfgProgram G = generateIcfg(5, 10, 32, 90, 3);
   IfdsProblem Prob = G.toIfdsProblem();
-  IfdsResult Base = runIfdsFlix(Prob, legacy());
+  IfdsResult Base = runIfdsFlix(Prob, naive());
   ASSERT_TRUE(Base.Ok) << Base.Error;
   EXPECT_TRUE(Base.sameResult(runIfdsImperative(Prob)));
   for (const SolverOptions &O : matrix()) {
     IfdsResult R = runIfdsFlix(Prob, O);
     ASSERT_TRUE(R.Ok) << describe(O) << ": " << R.Error;
     EXPECT_TRUE(R.sameResult(Base)) << describe(O);
-    if (O.CompilePlans)
-      EXPECT_GT(R.Stats.PlanSteps, 0u) << describe(O);
-    else
-      EXPECT_EQ(R.Stats.PlanSteps, 0u) << describe(O);
+    EXPECT_GT(R.Stats.PlanSteps, 0u) << describe(O);
   }
 }
 
 TEST(PlanDifferentialTest, StrongUpdateMatrix) {
   PointerProgram In = generatePointerProgram(13, 700);
-  StrongUpdateResult Base = runStrongUpdateFlix(In, legacy());
+  StrongUpdateResult Base = runStrongUpdateFlix(In, naive());
   ASSERT_TRUE(Base.ok()) << Base.Error;
+  EXPECT_TRUE(Base.samePointsTo(runStrongUpdateImperative(In)));
   for (const SolverOptions &O : matrix()) {
     StrongUpdateResult R = runStrongUpdateFlix(In, O);
     ASSERT_TRUE(R.ok()) << describe(O) << ": " << R.Error;
@@ -114,23 +110,16 @@ TEST(PlanDifferentialTest, StrongUpdateMatrix) {
 TEST(PlanDifferentialTest, StrongUpdateInterpretedSourceMatrix) {
   // The FLIX-source pipeline: every lattice op and filter is an
   // interpreter call, so memoized configurations exercise the sharded
-  // cache under real contention at 8 threads. Reorder is fixed off here
-  // to keep the interpreted matrix affordable (reorder is crossed on the
-  // native workloads above).
+  // cache under real contention at 8 threads.
   PointerProgram In = generatePointerProgram(13, 300);
-  StrongUpdateResult Base = runStrongUpdateFlixSource(In, legacy());
+  StrongUpdateResult Base = runStrongUpdateFlixSource(In, naive());
   ASSERT_TRUE(Base.ok()) << Base.Error;
-  for (bool Plans : {false, true})
-    for (bool Memo : {false, true})
-      for (unsigned Threads : {0u, 1u, 8u}) {
-        SolverOptions O;
-        O.CompilePlans = Plans;
-        O.EnableMemo = Memo;
-        O.NumThreads = Threads;
-        StrongUpdateResult R = runStrongUpdateFlixSource(In, O);
-        ASSERT_TRUE(R.ok()) << describe(O) << ": " << R.Error;
-        EXPECT_TRUE(R.samePointsTo(Base)) << describe(O);
-      }
+  EXPECT_TRUE(Base.samePointsTo(runStrongUpdateImperative(In)));
+  for (const SolverOptions &O : matrix()) {
+    StrongUpdateResult R = runStrongUpdateFlixSource(In, O);
+    ASSERT_TRUE(R.ok()) << describe(O) << ": " << R.Error;
+    EXPECT_TRUE(R.samePointsTo(Base)) << describe(O);
+  }
 }
 
 } // namespace

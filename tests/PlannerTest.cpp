@@ -248,8 +248,8 @@ TEST(PlannerReplanTest, SummaryEdgeInitialChooseUsesSketches) {
   StatsVec St = C.stats();
   St[C.EshCallStart] = PredStats();
   St[C.SummaryEdge] = PredStats();
-  std::vector<Rule> Rules = C.P.rules();
-  PlanLibrary L(C.P, Rules, /*UseIndexes=*/true);
+  const std::vector<Rule> &Rules = C.P.rules();
+  PlanLibrary L(C.P, /*UseIndexes=*/true);
   L.replanFromStats(St, 1.0);
   auto secondStep = [&] {
     const RulePlan &Pl = L.plan(0, SummaryEdgeCase::DriverIdx);
@@ -274,8 +274,7 @@ TEST(PlannerReplanTest, SummaryEdgeSkewedD1IndexTriggersReplan) {
   St[C.EndNode].Distinct = {76, 74};
   St[C.EshCallStart] = PredStats();
   St[C.SummaryEdge] = PredStats();
-  std::vector<Rule> Rules = C.P.rules();
-  PlanLibrary L(C.P, Rules, /*UseIndexes=*/true);
+  PlanLibrary L(C.P, /*UseIndexes=*/true);
   L.replanFromStats(St, 1.0);
   auto secondStep = [&] {
     return L.plan(0, SummaryEdgeCase::DriverIdx).BodyOrder[1];
@@ -345,8 +344,7 @@ TEST(PlannerCostModelTest, TieBreakingIsDeterministic) {
 
 TEST(PlannerReplanTest, InitialChooseThenIdempotent) {
   MisorderedJoinCase C;
-  std::vector<Rule> Rules = C.P.rules();
-  PlanLibrary L(C.P, Rules, /*UseIndexes=*/true);
+  PlanLibrary L(C.P, /*UseIndexes=*/true);
 
   // Construction freezes the driver-first written order.
   EXPECT_EQ(L.costBasedPlans(), 0u);
@@ -377,8 +375,7 @@ TEST(PlannerReplanTest, InitialChooseThenIdempotent) {
 
 TEST(PlannerReplanTest, HysteresisSuppressesMarginalFlips) {
   MisorderedJoinCase C;
-  std::vector<Rule> Rules = C.P.rules();
-  PlanLibrary L(C.P, Rules, true);
+  PlanLibrary L(C.P, true);
   ASSERT_GT(L.replanFromStats(C.stats(1e6), 1.0).Replanned, 0u);
 
   // A mild drift in Big's size changes estimated costs but not by the
@@ -387,6 +384,72 @@ TEST(PlannerReplanTest, HysteresisSuppressesMarginalFlips) {
   PlanLibrary::ReplanResult R = L.replanFromStats(C.stats(1.3e6), 4.0);
   EXPECT_EQ(R.Replanned, 0u);
   EXPECT_EQ(R.RowsDivergence, uint64_t(0.3e6));
+}
+
+/// Gen/kill reachability (examples/flix/gen_kill.flix): rule 1 negates
+/// Kill, rule 0 negates nothing.
+struct GenKillCase {
+  ValueFactory F;
+  Program P{F};
+  PredId Cfg = P.relation("Cfg", 2);
+  PredId Gen = P.relation("Gen", 2);
+  PredId Kill = P.relation("Kill", 2);
+  PredId Reach = P.relation("Reach", 2);
+  static constexpr uint32_t NegIdx = 2; ///< !Kill(m, d) in rule 1
+
+  GenKillCase() {
+    RuleBuilder().head(Reach, {"n", "d"}).atom(Gen, {"n", "d"}).addTo(P);
+    RuleBuilder()
+        .head(Reach, {"m", "d"})
+        .atom(Reach, {"n", "d"})
+        .atom(Cfg, {"n", "m"})
+        .negated(Kill, {"m", "d"})
+        .addTo(P);
+  }
+};
+
+TEST(PlannerReplanTest, NegationDrivenFamilyOpensWithGroundNegation) {
+  GenKillCase C;
+  PlanLibrary L(C.P, /*UseIndexes=*/true);
+  // Frozen order: the negated atom first, over its pre-bound key
+  // variables, then the body in textual order. Reach(n, d) is probed on
+  // the bound d, Cfg(n, m) is then fully bound.
+  const RulePlan &Pl = L.negDrivenPlan(1, GenKillCase::NegIdx);
+  ASSERT_EQ(Pl.Steps.size(), 3u);
+  EXPECT_EQ(Pl.Steps[0].Kind, StepKind::Negation);
+  EXPECT_EQ(Pl.Steps[0].Pred, C.Kill);
+  EXPECT_EQ(Pl.Steps[1].Kind, StepKind::Probe);
+  EXPECT_EQ(Pl.Steps[1].Mask, 0b10u);
+  EXPECT_EQ(Pl.Steps[2].Kind, StepKind::Lookup);
+  // The family counts in totalSteps: rule 0 has two delta-driven and two
+  // rederive plans of one step each; rule 1 has three of each, with three
+  // steps apiece.
+  EXPECT_EQ(L.totalSteps(), 4u + 6u * 3u + 3u);
+
+  // Without indexes the probe degrades to a scan, as in every family.
+  PlanLibrary NoIx(C.P, /*UseIndexes=*/false);
+  EXPECT_EQ(NoIx.negDrivenPlan(1, GenKillCase::NegIdx).Steps[1].Kind,
+            StepKind::Scan);
+
+  // The cost model re-plans the family too: a huge Reach with few
+  // distinct facts makes probing the small Cfg on m first cheaper.
+  StatsVec St(C.P.predicates().size());
+  St[C.Reach].LiveRows = 1e6;
+  St[C.Reach].Distinct = {1000, 10};
+  St[C.Cfg].LiveRows = 100;
+  St[C.Cfg].Distinct = {100, 100};
+  L.replanFromStats(St, 1.0);
+  const RulePlan &Re = L.negDrivenPlan(1, GenKillCase::NegIdx);
+  ASSERT_EQ(Re.BodyOrder.size(), 3u);
+  EXPECT_EQ(Re.BodyOrder[0], GenKillCase::NegIdx);
+  EXPECT_EQ(Re.BodyOrder[1], 1u) << "Cfg must follow the negation";
+  EXPECT_EQ(Re.Steps[0].Kind, StepKind::Negation);
+  EXPECT_GT(L.costBasedPlans(), 0u);
+  // Its probe (Cfg on m) is among the masks the static analyses build.
+  std::vector<std::vector<uint64_t>> Masks(C.P.predicates().size());
+  L.wantedIndexes(Masks);
+  EXPECT_NE(std::find(Masks[C.Cfg].begin(), Masks[C.Cfg].end(), 0b10u),
+            Masks[C.Cfg].end());
 }
 
 TEST(PlannerReplanTest, WantedIndexesIsOrderIndependent) {
@@ -416,8 +479,7 @@ TEST(PlannerReplanTest, WantedIndexesIsOrderIndependent) {
   build(P2, true);
 
   auto masksOf = [](const Program &P, StatsVec St) {
-    std::vector<Rule> Rules = P.rules();
-    PlanLibrary L(P, Rules, true);
+    PlanLibrary L(P, true);
     L.replanFromStats(St, 1.0);
     std::vector<std::vector<uint64_t>> Masks(P.predicates().size());
     L.wantedIndexes(Masks);

@@ -521,8 +521,9 @@ TEST_P(StrategyTest, ReorderBodySameResult) {
     P.addFact(A, {F.integer(I), F.integer(I + 100)});
     P.addFact(B, {F.integer(I + 100), F.integer(I + 200)});
   }
+  // Frozen textual order: the plan runs the bad order as written.
   SolverOptions O = opts();
-  O.ReorderBody = true;
+  O.CostBasedPlans = false;
   Solver S(P, O);
   ASSERT_TRUE(S.solve().ok());
   EXPECT_EQ(S.table(R).size(), 10u);

@@ -126,20 +126,20 @@ int main(int argc, char **argv) {
       }
       Preloads.emplace_back(Spec.substr(0, Eq), Spec.substr(Eq + 1));
     } else if (A == "--threads") {
-      Opt.Solve.NumThreads =
+      Opt.Db.Solve.NumThreads =
           unsigned(parseIntFlag("--threads", needValue(I), 0, 1024));
     } else if (A == "--no-vm") {
-      Opt.Solve.UseVm = false;
+      Opt.Db.Solve.UseVm = false;
     } else if (A == "--vm-opt-level") {
-      Opt.Solve.VmOptLevel =
+      Opt.Db.VmOptLevel =
           int(parseIntFlag("--vm-opt-level", needValue(I), 0, 2));
     } else if (A == "--no-cost-plans") {
-      Opt.Solve.CostBasedPlans = false;
+      Opt.Db.Solve.CostBasedPlans = false;
     } else if (A == "--replan-threshold") {
-      Opt.Solve.ReplanThreshold =
+      Opt.Db.Solve.ReplanThreshold =
           parseFloatFlag("--replan-threshold", needValue(I), 0.0);
     } else if (A == "--update-time-limit") {
-      Opt.UpdateTimeLimitSeconds =
+      Opt.Db.UpdateTimeLimitSeconds =
           parseFloatFlag("--update-time-limit", needValue(I), 0.0);
     } else if (A == "--max-connections") {
       Opt.MaxConnections =
@@ -151,7 +151,7 @@ int main(int argc, char **argv) {
       Opt.MaxLineBytes = size_t(
           parseIntFlag("--max-line-bytes", needValue(I), 1, 1LL << 40));
     } else if (A == "--max-pending-facts") {
-      Opt.MaxPendingFactsPerDb = uint64_t(
+      Opt.Db.MaxPendingFacts = uint64_t(
           parseIntFlag("--max-pending-facts", needValue(I), 1, 1LL << 40));
     } else {
       std::fprintf(stderr, "flixd: unknown option '%s'\n", A.c_str());
