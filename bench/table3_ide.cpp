@@ -18,7 +18,8 @@
 // composes and joins
 // micro-functions through externs on every firing, so the memo cache
 // sees heavy traffic here; ns per rule firing normalizes out workload
-// size. `--json <file>` writes one record per solver run; ablation
+// size. Each regime is checked against a naive-strategy solve without
+// memo. `--json <file>` writes one record per solver run; ablation
 // records carry regime "plan_memo".
 //
 //===----------------------------------------------------------------------===//
@@ -114,7 +115,13 @@ void runPlanMemoAblation(JsonReport *Json) {
   for (const DacapoPreset &Preset : dacapoPresets()) {
     IcfgProgram G = presetIcfg(Preset);
     IdeProblem Prob = G.toIdeProblem();
-    IdeResult Reference = runIdeFlix(Prob);
+    // Independent oracle: the naive strategy without memo is neither
+    // measured regime (both run semi-naive), so no record compares the
+    // solver with itself.
+    SolverOptions RefOpts;
+    RefOpts.Strat = Strategy::Naive;
+    RefOpts.EnableMemo = false;
+    IdeResult Reference = runIdeFlix(Prob, RefOpts);
 
     std::printf("%-10s", Preset.Name.c_str());
     for (const PlanMemoRegime &Reg : Regimes) {

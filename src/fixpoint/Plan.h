@@ -138,9 +138,9 @@ struct Step {
   /// rows, full scans, and the probe fallback.
   SmallVector<ColTest, 4> Cols;
   /// Reduced tests for the indexed-probe path: bucket rows match the
-  /// masked columns exactly (the projection tuple is hash-consed), so only
-  /// unmasked columns need work. Empty for Lookup — the row was found by
-  /// its exact key.
+  /// masked columns exactly (an index compares those columns before it
+  /// files a row under a bucket), so only unmasked columns need work.
+  /// Empty for Lookup — the row was found by its exact key.
   SmallVector<ColTest, 4> Binds;
   LatOp LOp = LatOp::None;
   VarId LatVar = 0;
@@ -531,11 +531,12 @@ inline void deriveWithPlan(EngineT &E, ValueFactory &F, const RulePlan &Pl) {
 ///   bool checkRow();                      // true => abort the evaluation
 ///   uint64_t &rowsScanned();              // SolveStats::RowsScanned sink
 ///   Value callExtern(FnId, std::span<const Value>);
-///   // Indexed probe; returns nullptr to request the full-scan fallback
-///   // (counting/asserting per engine policy). CopyStorage is scratch the
-///   // sequential engine copies its (mutable) bucket into.
-///   const std::vector<uint32_t> *probeBucket(const Step &, Value ProjT,
-///                                            std::vector<uint32_t> &Copy);
+///   // Indexed probe with the bound columns' values; returns nullptr to
+///   // request the full-scan fallback (counting/asserting per engine
+///   // policy). The bucket must stay valid while the cursor iterates it;
+///   // rows appended to it meanwhile lie past the cursor's fixed End.
+///   const Table::Bucket *probeBucket(const Step &,
+///                                    std::span<const Value> Proj);
 ///   // Intra-rule spilling hook (parallel workers): may capture
 ///   // [Begin, End) of Rows (nullptr = raw row-id range) as sub-tasks and
 ///   // return the new Begin. Others return Begin unchanged.
@@ -589,7 +590,6 @@ private:
   struct Cursor {
     const std::vector<uint32_t> *RowList = nullptr; ///< null: raw id range
     uint32_t Idx = 0, End = 0;
-    std::vector<uint32_t> Copy; ///< sequential engine's bucket snapshot
     std::span<const Value> SetElems;
     uint32_t SIdx = 0;
     bool Done = false;        ///< one-shot steps (Filter, Negation)
@@ -651,8 +651,7 @@ private:
       return;
     }
     case StepKind::Lookup: {
-      Value KeyT = projTuple(S);
-      uint32_t Id = E.table(S.Pred).lookupRow(KeyT);
+      uint32_t Id = E.table(S.Pred).lookupRow(projection(S));
       if (Id != Table::NoRow) {
         C.Idx = Id;
         C.End = Id + 1;
@@ -660,9 +659,7 @@ private:
       return;
     }
     case StepKind::Probe: {
-      Value ProjT = projTuple(S);
-      if (const std::vector<uint32_t> *Bucket =
-              E.probeBucket(S, ProjT, C.Copy)) {
+      if (const Table::Bucket *Bucket = E.probeBucket(S, projection(S))) {
         uint32_t Begin = E.maybeSpill(
             Pl, StepIdx, Bucket, 0, static_cast<uint32_t>(Bucket->size()));
         C.RowList = Bucket;
@@ -754,8 +751,7 @@ private:
       if (C.Done)
         return false;
       C.Done = true;
-      Value KeyT = projTuple(S);
-      if (E.table(S.Pred).lookup(KeyT))
+      if (E.table(S.Pred).lookup(projection(S)))
         return false;
       return runGuards(S);
     }
@@ -865,16 +861,19 @@ private:
     return true;
   }
 
-  Value projTuple(const Step &S) {
-    SmallVector<Value, 4> Proj;
+  /// The probe projection / lookup key / negation key of \p S, resolved
+  /// into raw column values (valid until the next projection() call).
+  /// Tables are probed with these directly; nothing is interned.
+  std::span<const Value> projection(const Step &S) {
+    ProjScratch.clear();
     for (const Operand &O : S.ProjOps)
-      Proj.push_back(opValue(E, O));
-    return E.factory().tuple(
-        std::span<const Value>(Proj.data(), Proj.size()));
+      ProjScratch.push_back(opValue(E, O));
+    return {ProjScratch.data(), ProjScratch.size()};
   }
 
   EngineT &E;
   std::vector<Cursor> Cursors;
+  SmallVector<Value, 4> ProjScratch;
 };
 
 } // namespace flix::plan

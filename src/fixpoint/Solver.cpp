@@ -31,14 +31,12 @@ struct Solver::PlanEngine {
     return plan::callExtern(S.P, Fn, Args, S.Opts.UseVm, S.Memo.get(),
                             S.Stats.VmCalls, S.Stats.InterpFallbacks);
   }
-  const std::vector<uint32_t> *probeBucket(const plan::Step &St, Value ProjT,
-                                           std::vector<uint32_t> &Copy) {
-    // Snapshot the bucket: derivations made while iterating may join new
-    // rows into this table and grow the bucket (in-place update).
-    const std::vector<uint32_t> &B =
-        S.Tables[St.Pred]->probe(St.Mask, ProjT);
-    Copy.assign(B.begin(), B.end());
-    return &Copy;
+  /// The live bucket: derivations made while iterating may join new rows
+  /// into this table and append to it in place, but the bucket never
+  /// moves and the executor stops at the size it saw at probe time.
+  const Table::Bucket *probeBucket(const plan::Step &St,
+                                   std::span<const Value> Proj) {
+    return &S.Tables[St.Pred]->probe(St.Mask, Proj);
   }
   uint32_t maybeSpill(const plan::RulePlan &, uint32_t,
                       const std::vector<uint32_t> *, uint32_t Begin,
@@ -157,8 +155,8 @@ void Solver::recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId) {
       const Term &Tm = A->Terms[I];
       Key.push_back(Tm.isVar() ? Env[Tm.Variable] : Tm.Constant);
     }
-    Value KeyT = F.tuple(std::span<const Value>(Key.data(), Key.size()));
-    uint32_t Prem = Tables[A->Pred]->lookupRow(KeyT);
+    uint32_t Prem = Tables[A->Pred]->lookupRow(
+        std::span<const Value>(Key.data(), Key.size()));
     if (Prem == Table::NoRow)
       continue;
     auto &Rows = Dependents[A->Pred];
@@ -189,15 +187,20 @@ void Solver::recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId) {
       const Term &Tm = A->Terms[I];
       Key.push_back(Tm.isVar() ? Env[Tm.Variable] : Tm.Constant);
     }
-    Value KeyT = F.tuple(std::span<const Value>(Key.data(), Key.size()));
-    auto &Out = NegDependents[A->Pred][KeyT];
-    auto It = std::lower_bound(Out.begin(), Out.end(), Head);
-    if (It != Out.end() && *It == Head)
-      continue;
-    size_t Idx = static_cast<size_t>(It - Out.begin());
-    Out.push_back(Head);
-    std::rotate(Out.begin() + Idx, Out.end() - 1, Out.end());
+    recordNegSupport(A->Pred, std::span<const Value>(Key.data(), Key.size()),
+                     Head);
   }
+}
+
+void Solver::recordNegSupport(PredId Pred, std::span<const Value> Key,
+                              CellRef Head) {
+  auto &Out = NegDependents[Pred][NegKey(Key.begin(), Key.end())];
+  auto It = std::lower_bound(Out.begin(), Out.end(), Head);
+  if (It != Out.end() && *It == Head)
+    return;
+  size_t Idx = static_cast<size_t>(It - Out.begin());
+  Out.push_back(Head);
+  std::rotate(Out.begin() + Idx, Out.end() - 1, Out.end());
 }
 
 size_t Solver::supportEdgeCount() const {
@@ -211,7 +214,7 @@ size_t Solver::supportEdgeCount() const {
 size_t Solver::negSupportEdgeCount() const {
   size_t Count = 0;
   for (const auto &Keys : NegDependents)
-    for (const auto &[KeyT, Out] : Keys)
+    for (const auto &[Key, Out] : Keys)
       Count += Out.size();
   return Count;
 }
@@ -350,10 +353,13 @@ size_t Solver::memoryFootprint() const {
   // overhead estimate) plus spilled edge storage.
   for (const auto &Keys : NegDependents) {
     Bytes += Keys.size() *
-             (sizeof(Value) + sizeof(SmallVector<CellRef, 2>) + 16);
-    for (const auto &[KeyT, Out] : Keys)
+             (sizeof(NegKey) + sizeof(SmallVector<CellRef, 2>) + 16);
+    for (const auto &[Key, Out] : Keys) {
+      if (Key.capacity() > 4)
+        Bytes += Key.capacity() * sizeof(Value);
       if (Out.capacity() > 2)
         Bytes += Out.capacity() * sizeof(CellRef);
+    }
   }
   if (Memo)
     Bytes += Memo->memoryBytes();
@@ -518,15 +524,13 @@ SolveStats Solver::solve() {
 
 bool Solver::contains(PredId Pred, std::span<const Value> Tuple) const {
   assert(P.predicate(Pred).isRelational() && "contains() is for relations");
-  Value KeyT = F.tuple(Tuple);
-  return Tables[Pred]->lookup(KeyT) != nullptr;
+  return Tables[Pred]->lookup(Tuple) != nullptr;
 }
 
 Value Solver::latValue(PredId Pred, std::span<const Value> Key) const {
   const PredicateDecl &D = P.predicate(Pred);
   assert(!D.isRelational() && "latValue() is for lattice predicates");
-  Value KeyT = F.tuple(Key);
-  const Value *V = Tables[Pred]->lookup(KeyT);
+  const Value *V = Tables[Pred]->lookup(Key);
   return V ? *V : D.Lat->bot();
 }
 
@@ -534,8 +538,7 @@ const Derivation *Solver::explain(PredId Pred,
                                   std::span<const Value> Key) const {
   if (!Opts.TrackProvenance)
     return nullptr;
-  Value KeyT = F.tuple(Key);
-  uint32_t Row = Tables[Pred]->lookupRow(KeyT);
+  uint32_t Row = Tables[Pred]->lookupRow(Key);
   if (Row == Table::NoRow)
     return nullptr;
   // Rows no rule ever increased came straight from the input facts.

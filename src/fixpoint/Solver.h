@@ -217,7 +217,7 @@ struct SolveStats {
   uint64_t MaxFanout = 0;       ///< largest number of sub-tasks one split
                                 ///< produced (hot-row fan-out indicator)
   uint64_t IndexBuildTasks = 0; ///< pool tasks used to pre-build static
-                                ///< indexes (partial scans + merges)
+                                ///< indexes (one per pred and mask)
   uint64_t IndexFallbacks = 0;  ///< probeExisting misses that fell back to
                                 ///< a full scan (0 when the static index
                                 ///< analysis covers every access path)
@@ -361,14 +361,28 @@ private:
   std::vector<std::vector<SmallVector<CellRef, 2>>> Dependents;
 
   /// Negation support index (when TrackSupport): per negated predicate,
-  /// key tuple → the head cells derived through `!P(key)` succeeding
-  /// while that key was absent. Keyed by tuple, not row id, because the
-  /// negated key typically has no row at all. When a key (re)enters the
-  /// table, the incremental engine over-deletes exactly these cells and
-  /// consumes (erases) the entry; re-derivation re-records whichever
-  /// edges still hold. Same over-approximation discipline as Dependents.
-  std::vector<std::unordered_map<Value, SmallVector<CellRef, 2>>>
+  /// key columns → the head cells derived through `!P(key)` succeeding
+  /// while that key was absent. Keyed by the columns held by value, not
+  /// by row id or an interned tuple, because the negated key typically
+  /// has no row at all (and interned tuples are never reclaimed). When a
+  /// key (re)enters the table, the incremental engine over-deletes
+  /// exactly these cells and consumes (erases) the entry; re-derivation
+  /// re-records whichever edges still hold. Same over-approximation
+  /// discipline as Dependents.
+  using NegKey = SmallVector<Value, 4>;
+  struct NegKeyHash {
+    size_t operator()(const NegKey &Key) const {
+      uint64_t H = 0;
+      for (Value V : Key)
+        H = hashCombine(H, V.hash());
+      return H;
+    }
+  };
+  std::vector<std::unordered_map<NegKey, SmallVector<CellRef, 2>, NegKeyHash>>
       NegDependents;
+  /// Appends \p Head to NegDependents[\p Pred][\p Key], sorted and unique.
+  void recordNegSupport(PredId Pred, std::span<const Value> Key,
+                        CellRef Head);
 
   /// When non-null, loadFacts() reads this fact set instead of
   /// P.facts() — the incremental engine's materialized fact store.

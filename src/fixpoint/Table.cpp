@@ -15,13 +15,7 @@
 
 using namespace flix;
 
-const std::vector<uint32_t> Table::EmptyBucket;
-
-// Estimated heap bytes of one map node of a bucket map (hash-map node
-// header + key + vector object). Bucket *payload* is charged separately
-// from vector capacity, so this only covers the fixed per-bucket part.
-static constexpr size_t BucketNodeBytes =
-    sizeof(Value) + sizeof(std::vector<uint32_t>) + 16;
+const Table::Bucket Table::EmptyBucket;
 
 void DistinctSketch::add(uint64_t Hash) {
   if (Regs.empty()) {
@@ -57,45 +51,138 @@ double DistinctSketch::estimate() const {
   return Raw;
 }
 
-void Table::Index::add(Value Proj, uint32_t Id) {
-  auto [It, Inserted] = Buckets.try_emplace(Proj);
-  if (Inserted)
-    Bytes += BucketNodeBytes;
-  std::vector<uint32_t> &B = It->second;
+//===----------------------------------------------------------------------===//
+// Slot arrays
+//===----------------------------------------------------------------------===//
+
+template <typename EqFn>
+const Table::Slot *Table::SlotArray::find(uint64_t H, EqFn Eq) const {
+  if (Count == 0)
+    return nullptr;
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = H & Mask;; I = (I + 1) & Mask) {
+    const Slot &S = Slots[I];
+    if (S.Row == NoRow)
+      return nullptr;
+    if (S.Hash == H && Eq(S.Row))
+      return &S;
+  }
+}
+
+template <typename EqFn>
+Table::Slot &Table::SlotArray::findOrInsert(uint64_t H, EqFn Eq) {
+  size_t Mask = Slots.size() - 1;
+  size_t I = H & Mask;
+  if (!Slots.empty()) {
+    for (; Slots[I].Row != NoRow; I = (I + 1) & Mask)
+      if (Slots[I].Hash == H && Eq(Slots[I].Row))
+        return Slots[I];
+  }
+  // A miss. Grow at 70% load — tiny tables start tiny, with 8 slots —
+  // then claim the first empty slot of H's probe sequence.
+  if ((Count + 1) * 10 > Slots.size() * 7) {
+    size_t NewCap = std::max<size_t>(8, Slots.size() * 2);
+    std::vector<Slot> Old = std::move(Slots);
+    Slots.assign(NewCap, Slot());
+    Mask = NewCap - 1;
+    for (const Slot &S : Old) {
+      if (S.Row == NoRow)
+        continue;
+      size_t J = S.Hash & Mask;
+      while (Slots[J].Row != NoRow)
+        J = (J + 1) & Mask;
+      Slots[J] = S;
+    }
+    for (I = H & Mask; Slots[I].Row != NoRow; I = (I + 1) & Mask)
+      ;
+  }
+  ++Count;
+  Slots[I].Hash = H;
+  return Slots[I];
+}
+
+//===----------------------------------------------------------------------===//
+// Column hashing
+//===----------------------------------------------------------------------===//
+
+/// Hash of column values (a whole key, or an index's bound columns in
+/// column order): one hashCombine per column over the handle's raw bits
+/// with the kind folded into the top bits. Collisions only cost a column
+/// compare.
+static uint64_t projHash(std::span<const Value> Proj) {
+  uint64_t H = 0x2545f4914f6cdd1dULL;
+  for (Value V : Proj)
+    H = hashCombine(H, V.rawBits() ^ (static_cast<uint64_t>(V.kind()) << 58));
+  return H;
+}
+
+bool Table::projMatches(uint32_t Row, uint64_t Mask,
+                        std::span<const Value> Proj) const {
+  std::span<const Value> Key = rowKey(Row);
+  size_t J = 0;
+  for (uint64_t M = Mask; M; M &= M - 1)
+    if (Key[std::countr_zero(M)] != Proj[J++])
+      return false;
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
+// Table
+//===----------------------------------------------------------------------===//
+
+void Table::addToIndex(Index &Ix, std::span<const Value> Key, uint32_t Id) {
+  SmallVector<Value, 4> Cols;
+  for (uint64_t M = Ix.Mask; M; M &= M - 1)
+    Cols.push_back(Key[std::countr_zero(M)]);
+  std::span<const Value> Proj(Cols.data(), Cols.size());
+  Slot &S = Ix.Map.findOrInsert(projHash(Proj), [&](uint32_t Row) {
+    return projMatches(Row, Ix.Mask, Proj);
+  });
+  if (S.Row == NoRow) {
+    S.Row = Id;
+    S.Bucket = static_cast<uint32_t>(Ix.Buckets.push_back(Bucket()));
+  }
+  Bucket &B = Ix.Buckets[S.Bucket];
   size_t OldCap = B.capacity();
   B.push_back(Id);
   if (B.capacity() != OldCap)
-    Bytes += (B.capacity() - OldCap) * sizeof(uint32_t);
-  MaxBucket = std::max(MaxBucket, B.size());
-  SumSquares += 2 * B.size() - 1; // (b + 1)² - b²
+    Ix.PayloadBytes += (B.capacity() - OldCap) * sizeof(uint32_t);
+  Ix.MaxBucket = std::max(Ix.MaxBucket, B.size());
+  Ix.SumSquares += 2 * B.size() - 1; // (b + 1)² - b²
 }
 
 Table::JoinResult Table::join(Value KeyTuple, Value LatVal) {
-  auto It = Primary.find(KeyTuple);
-  if (It != Primary.end()) {
-    Row &R = Rows[It->second];
+  std::span<const Value> KeyElems = F.tupleElems(KeyTuple);
+  uint64_t H = projHash(KeyElems);
+  auto SameKey = [&](uint32_t Row) { return Rows[Row].Key == KeyTuple; };
+  // ⊥ joins change nothing: an existing cell keeps its value (x ⊔ ⊥ = x)
+  // and an absent one is not materialized.
+  if (LatVal == Bot) {
+    const Slot *S = Primary.find(H, SameKey);
+    return {S ? S->Row : NoRow, false};
+  }
+  Slot &S = Primary.findOrInsert(H, SameKey);
+  if (S.Row != NoRow) {
+    Row &R = Rows[S.Row];
     Value Joined = Lat.lub(R.Lat, LatVal);
     assert(Lat.leq(R.Lat, Joined) && Lat.leq(LatVal, Joined) &&
            "lub not an upper bound; malformed lattice");
     if (Joined == R.Lat)
-      return {It->second, false};
+      return {S.Row, false};
     if (R.Lat == Bot)
       --NumTombstones; // tombstoned row revived in place
     R.Lat = Joined;
-    return {It->second, true};
+    return {S.Row, true};
   }
-  // New cell. ⊥ cells are not materialized.
-  if (LatVal == Bot)
-    return {NoRow, false};
+  // New cell: the claimed slot takes the new row id.
   uint32_t Id = static_cast<uint32_t>(Rows.size());
+  S.Row = Id;
   Rows.push_back({KeyTuple, LatVal});
-  Primary.emplace(KeyTuple, Id);
   // Keep the column sketches and existing secondary indexes in sync.
-  std::span<const Value> KeyElems = F.tupleElems(KeyTuple);
   for (unsigned I = 0; I < KeyArity; ++I)
     Sketches[I].add(KeyElems[I].hash());
   for (Index &Ix : Indexes)
-    Ix.add(projectKey(KeyElems, Ix.Mask), Id);
+    addToIndex(Ix, KeyElems, Id);
   return {Id, true};
 }
 
@@ -108,27 +195,20 @@ void Table::resetRow(uint32_t Id) {
   ++NumTombstones;
 }
 
-const Value *Table::lookup(Value KeyTuple) const {
-  auto It = Primary.find(KeyTuple);
-  if (It == Primary.end() || Rows[It->second].Lat == Bot)
-    return nullptr;
-  return &Rows[It->second].Lat;
-}
-
-uint32_t Table::lookupRow(Value KeyTuple) const {
-  auto It = Primary.find(KeyTuple);
-  if (It == Primary.end() || Rows[It->second].Lat == Bot)
+uint32_t Table::lookupRow(std::span<const Value> Key) const {
+  assert(Key.size() == KeyArity && "lookup key must bind every column");
+  const Slot *S = Primary.find(projHash(Key), [&](uint32_t Row) {
+    std::span<const Value> Stored = rowKey(Row);
+    return std::equal(Stored.begin(), Stored.end(), Key.begin());
+  });
+  if (!S || Rows[S->Row].Lat == Bot)
     return NoRow;
-  return It->second;
+  return S->Row;
 }
 
-Value Table::projectKey(std::span<const Value> KeyElems,
-                        uint64_t Mask) const {
-  SmallVector<Value, 4> Proj;
-  for (unsigned I = 0; I < KeyArity; ++I)
-    if (Mask & (uint64_t(1) << I))
-      Proj.push_back(KeyElems[I]);
-  return F.tuple(std::span<const Value>(Proj.data(), Proj.size()));
+const Value *Table::lookup(std::span<const Value> Key) const {
+  uint32_t Row = lookupRow(Key);
+  return Row == NoRow ? nullptr : &Rows[Row].Lat;
 }
 
 Table::Index *Table::findIndex(uint64_t Mask) {
@@ -138,66 +218,38 @@ Table::Index *Table::findIndex(uint64_t Mask) {
   return nullptr;
 }
 
+const Table::Index *Table::findIndex(uint64_t Mask) const {
+  for (const Index &Ix : Indexes)
+    if (Ix.Mask == Mask)
+      return &Ix;
+  return nullptr;
+}
+
 Table::Index &Table::ensureIndex(uint64_t Mask) {
   if (Index *Ix = findIndex(Mask))
     return *Ix;
-  Indexes.push_back(Index{Mask, {}, 0});
-  Index &Ix = Indexes.back();
+  Index &Ix = Indexes.emplace_back(Mask);
   for (uint32_t Id = 0; Id < Rows.size(); ++Id)
-    Ix.add(projectKey(F.tupleElems(Rows[Id].Key), Mask), Id);
+    addToIndex(Ix, rowKey(Id), Id);
   return Ix;
 }
 
-void Table::buildPartialIndex(uint64_t Mask, uint32_t Begin, uint32_t End,
-                              PartialIndex &Out) const {
-  assert(End <= Rows.size());
-  for (uint32_t Id = Begin; Id < End; ++Id)
-    Out[projectKey(F.tupleElems(Rows[Id].Key), Mask)].push_back(Id);
+void Table::reserveIndex(uint64_t Mask) {
+  if (!findIndex(Mask))
+    Indexes.emplace_back(Mask);
 }
 
-void Table::reserveIndexSlots(std::span<const uint64_t> Masks) {
-  for (uint64_t Mask : Masks)
-    if (!findIndex(Mask))
-      Indexes.push_back(Index{Mask, {}, 0});
-}
-
-void Table::buildIndexFromPartials(uint64_t Mask,
-                                   std::span<PartialIndex> Parts) {
+void Table::fillIndex(uint64_t Mask) {
   Index *Ix = findIndex(Mask);
-  assert(Ix && "slot must be pre-created with reserveIndexSlots");
+  assert(Ix && "index must be pre-created with reserveIndex");
   assert(Ix->Buckets.empty() && "index already built");
-  // Size the bucket map once: the union's bucket count is at most the sum
-  // of the partials' (and usually close to the largest partial's).
-  size_t KeyEstimate = 0;
-  for (const PartialIndex &P : Parts)
-    KeyEstimate += P.size();
-  Ix->Buckets.reserve(KeyEstimate);
-  // Partials are ordered by row range and each partial's buckets hold
-  // ascending ids, so appending in partial order keeps every merged
-  // bucket ascending — the same layout ensureIndex produces.
-  for (PartialIndex &P : Parts) {
-    for (auto &[Proj, Ids] : P) {
-      auto [It, Inserted] = Ix->Buckets.try_emplace(Proj);
-      if (Inserted)
-        Ix->Bytes += BucketNodeBytes;
-      std::vector<uint32_t> &B = It->second;
-      size_t OldCap = B.capacity();
-      uint64_t OldSize = B.size();
-      B.insert(B.end(), Ids.begin(), Ids.end());
-      Ix->SumSquares += B.size() * B.size() - OldSize * OldSize;
-      if (B.capacity() != OldCap)
-        Ix->Bytes += (B.capacity() - OldCap) * sizeof(uint32_t);
-      Ix->MaxBucket = std::max(Ix->MaxBucket, B.size());
-    }
-  }
+  // Ascending row order keeps every bucket ascending, the same layout
+  // ensureIndex and incremental joins produce.
+  for (uint32_t Id = 0; Id < Rows.size(); ++Id)
+    addToIndex(*Ix, rowKey(Id), Id);
 }
 
-bool Table::hasIndex(uint64_t Mask) const {
-  for (const Index &Ix : Indexes)
-    if (Ix.Mask == Mask)
-      return true;
-  return false;
-}
+bool Table::hasIndex(uint64_t Mask) const { return findIndex(Mask); }
 
 Table::IndexStats Table::statsOf(const Index &Ix) const {
   double Weighted = Rows.empty() ? 0.0
@@ -207,13 +259,11 @@ Table::IndexStats Table::statsOf(const Index &Ix) const {
 }
 
 bool Table::indexStats(uint64_t Mask, IndexStats &Out) const {
-  for (const Index &Ix : Indexes) {
-    if (Ix.Mask != Mask)
-      continue;
-    Out = statsOf(Ix);
-    return true;
-  }
-  return false;
+  const Index *Ix = findIndex(Mask);
+  if (!Ix)
+    return false;
+  Out = statsOf(*Ix);
+  return true;
 }
 
 void Table::collectIndexStats(std::vector<IndexStats> &Out) const {
@@ -221,39 +271,36 @@ void Table::collectIndexStats(std::vector<IndexStats> &Out) const {
     Out.push_back(statsOf(Ix));
 }
 
-const std::vector<uint32_t> &Table::probe(uint64_t BoundMask,
-                                          Value ProjTuple) {
+const Table::Bucket &Table::probe(uint64_t BoundMask,
+                                  std::span<const Value> Proj) {
   assert(BoundMask != 0 && "use a full scan for unbound probes");
   // Mirrors the solvers' Full computation; KeyArity > 63 never reaches a
   // probe (rejected by Program::validate), so the shift is defined.
   assert(KeyArity <= 63 && "unindexable key arity must be rejected earlier");
   assert(BoundMask != (KeyArity == 0 ? 0 : (uint64_t(1) << KeyArity) - 1) &&
          "use the primary map for fully bound probes");
-  Index &Ix = ensureIndex(BoundMask);
-  auto It = Ix.Buckets.find(ProjTuple);
-  return It == Ix.Buckets.end() ? EmptyBucket : It->second;
+  ensureIndex(BoundMask);
+  return *probeExisting(BoundMask, Proj);
 }
 
-const std::vector<uint32_t> *Table::probeExisting(uint64_t BoundMask,
-                                                  Value ProjTuple) const {
-  for (const Index &Ix : Indexes) {
-    if (Ix.Mask != BoundMask)
-      continue;
-    auto It = Ix.Buckets.find(ProjTuple);
-    return It == Ix.Buckets.end() ? &EmptyBucket : &It->second;
-  }
-  return nullptr;
+const Table::Bucket *
+Table::probeExisting(uint64_t BoundMask, std::span<const Value> Proj) const {
+  const Index *Ix = findIndex(BoundMask);
+  if (!Ix)
+    return nullptr;
+  assert(Proj.size() == static_cast<size_t>(std::popcount(BoundMask)) &&
+         "probe values must match the bound columns");
+  const Slot *S = Ix->Map.find(projHash(Proj), [&](uint32_t Row) {
+    return projMatches(Row, BoundMask, Proj);
+  });
+  return S ? &Ix->Buckets[S->Bucket] : &EmptyBucket;
 }
 
 size_t Table::memoryBytes() const {
-  size_t Bytes = Rows.capacity() * sizeof(Row);
-  Bytes += Primary.size() * (sizeof(Value) + sizeof(uint32_t) + 16);
+  size_t Bytes = Rows.capacity() * sizeof(Row) + Primary.bytes();
   for (const DistinctSketch &S : Sketches)
     Bytes += S.memoryBytes();
-  for (const Index &Ix : Indexes) {
-    Bytes += Ix.Bytes;
-    // Hash-table array of the bucket map itself.
-    Bytes += Ix.Buckets.bucket_count() * sizeof(void *);
-  }
+  for (const Index &Ix : Indexes)
+    Bytes += Ix.Map.bytes() + Ix.Buckets.memoryBytes() + Ix.PayloadBytes;
   return Bytes;
 }

@@ -11,11 +11,18 @@
 /// into the table computes the per-cell least upper bound, maintaining
 /// compactness; ⊥-valued cells are never materialized (see DESIGN.md).
 ///
-/// Key tuples are interned in the ValueFactory, so the primary map and all
-/// secondary indexes are Value → row maps with O(1) handle hashing.
-/// Secondary indexes over subsets of the key columns are created lazily
-/// from the bound-variable patterns the solver encounters — the paper's
-/// automatic index selection (§4.5).
+/// Only stored rows own an interned key tuple (Row::Key). Every access
+/// path — the primary map, the secondary indexes, probes and lookups —
+/// works on raw column Values instead: a slot array keyed by one 64-bit
+/// hash over the relevant columns, where a hash hit is confirmed by
+/// comparing those columns of a stored row in place. Probing or looking
+/// up a key therefore never interns anything, and neither does
+/// maintaining an index when a row is joined in. Secondary indexes over
+/// subsets of the key columns are created lazily from the bound-variable
+/// patterns the solver encounters — the paper's automatic index selection
+/// (§4.5) — and map each distinct projection to a bucket of row ids.
+/// Buckets live in stable storage, so a bucket reference stays valid for
+/// the table's lifetime while joins append to it.
 ///
 /// Every key column also carries a DistinctSketch, so the cost-based
 /// planner can price a probe on a column no index covers yet.
@@ -26,9 +33,9 @@
 #define FLIX_FIXPOINT_TABLE_H
 
 #include "runtime/Lattice.h"
+#include "support/SegmentedVector.h"
 
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 namespace flix {
@@ -120,58 +127,63 @@ public:
   /// are dropped (RowId == NoRow, Changed == false).
   JoinResult join(Value KeyTuple, Value LatVal);
 
-  /// Returns the lattice value of the cell \p KeyTuple, or nullptr if the
-  /// cell is absent (i.e. implicitly ⊥, including tombstoned rows).
-  const Value *lookup(Value KeyTuple) const;
+  /// A secondary-index bucket: ids of the rows whose bound columns share
+  /// one projection, in ascending order. Buckets only grow by appending.
+  using Bucket = std::vector<uint32_t>;
 
-  /// Returns the row id of cell \p KeyTuple, or NoRow if absent (including
-  /// tombstoned rows, which are logically ⊥).
-  uint32_t lookupRow(Value KeyTuple) const;
+  /// Returns the lattice value of the cell with key columns \p Key, or
+  /// nullptr if the cell is absent (i.e. implicitly ⊥, including
+  /// tombstoned rows). Interns nothing.
+  const Value *lookup(std::span<const Value> Key) const;
+  /// As above, for callers that already hold the interned key tuple.
+  const Value *lookup(Value KeyTuple) const {
+    return lookup(F.tupleElems(KeyTuple));
+  }
+
+  /// Returns the row id of the cell with key columns \p Key, or NoRow if
+  /// absent (including tombstoned rows, which are logically ⊥). Interns
+  /// nothing.
+  uint32_t lookupRow(std::span<const Value> Key) const;
+  /// As above, for callers that already hold the interned key tuple.
+  uint32_t lookupRow(Value KeyTuple) const {
+    return lookupRow(F.tupleElems(KeyTuple));
+  }
 
   /// Probes the secondary index for \p BoundMask (bit i set = key column i
-  /// bound), returning ids of rows whose bound columns equal \p ProjTuple
-  /// (the interned tuple of the bound columns, in column order). Builds the
+  /// bound), returning the bucket of rows whose bound columns equal
+  /// \p Proj (the bound columns' values, in column order). Builds the
   /// index on first use. \p BoundMask must be neither empty nor full.
-  const std::vector<uint32_t> &probe(uint64_t BoundMask, Value ProjTuple);
+  ///
+  /// The returned reference stays valid for the table's lifetime: later
+  /// joins append to the bucket in place, and neither slot-array regrowth
+  /// nor the creation of other indexes moves it. A miss returns a shared
+  /// empty bucket that never grows.
+  const Bucket &probe(uint64_t BoundMask, std::span<const Value> Proj);
 
   /// Read-only probe for concurrent readers (the parallel solver's
-  /// workers): returns the bucket for \p BoundMask/\p ProjTuple, an empty
+  /// workers): returns the bucket for \p BoundMask/\p Proj, an empty
   /// bucket if the index exists but has no such key, or nullptr if the
   /// index itself does not exist (callers fall back to a full scan).
   /// Never builds an index, so it is safe while other threads read the
-  /// table — indexes must be prepared up front with prepareIndex().
-  const std::vector<uint32_t> *probeExisting(uint64_t BoundMask,
-                                             Value ProjTuple) const;
+  /// table — indexes must be prepared up front with prepareIndex() or
+  /// reserveIndex() + fillIndex(). Same lifetime guarantee as probe().
+  const Bucket *probeExisting(uint64_t BoundMask,
+                              std::span<const Value> Proj) const;
 
   /// Eagerly creates the secondary index for \p BoundMask (a no-op if it
   /// already exists); used by index hints.
   void prepareIndex(uint64_t BoundMask) { ensureIndex(BoundMask); }
 
-  /// One worker's partial secondary index over a contiguous row range:
-  /// projected bound-column tuple → ids of the range's matching rows, in
-  /// ascending order.
-  using PartialIndex = std::unordered_map<Value, std::vector<uint32_t>>;
+  /// Pre-creates an empty index for \p Mask (a no-op if one exists)
+  /// WITHOUT scanning any rows, so that one concurrent fillIndex call per
+  /// mask can later fill it while only touching its own Index object.
+  void reserveIndex(uint64_t Mask);
 
-  /// Scans rows [\p Begin, \p End) and appends each row id to the bucket
-  /// of its \p Mask projection in \p Out. Read-only on the table, so any
-  /// number of threads may build partials of the same table concurrently
-  /// (with a concurrent-mode ValueFactory for the projection tuples).
-  void buildPartialIndex(uint64_t Mask, uint32_t Begin, uint32_t End,
-                         PartialIndex &Out) const;
-
-  /// Pre-creates empty index slots for \p Masks (skipping ones that
-  /// already exist) WITHOUT scanning any rows, so that one concurrent
-  /// buildIndexFromPartials call per mask can later fill them while only
-  /// touching its own Index object.
-  void reserveIndexSlots(std::span<const uint64_t> Masks);
-
-  /// Installs the secondary index for \p Mask by concatenating per-range
-  /// partial buckets (\p Parts ordered by row range, as produced by
-  /// buildPartialIndex over a partition of [0, size())). The slot must
-  /// have been created by reserveIndexSlots and still be empty. Calls for
-  /// distinct masks of the same table may run concurrently: each touches
-  /// only its own pre-created Index object.
-  void buildIndexFromPartials(uint64_t Mask, std::span<PartialIndex> Parts);
+  /// Fills the reserved, still-empty index for \p Mask from every row.
+  /// Calls for distinct masks of the same table may run concurrently: each
+  /// writes only its own pre-created Index object and otherwise reads the
+  /// rows and the ValueFactory's (lock-free) tuple storage.
+  void fillIndex(uint64_t Mask);
 
   /// Number of secondary indexes created so far (for stats/tests).
   size_t numIndexes() const { return Indexes.size(); }
@@ -183,8 +195,7 @@ public:
   /// Cheap maintained statistics of one secondary index, read by the
   /// cost-based planner (Plan.cpp): the number of distinct projected keys,
   /// the largest bucket's row count, and the row-weighted mean bucket.
-  /// All are maintained by add() and the partial-merge builder, so
-  /// reading them costs nothing.
+  /// All are maintained by addToIndex(), so reading them costs nothing.
   struct IndexStats {
     uint64_t Mask;
     size_t Buckets;   ///< distinct projected keys (bucket count)
@@ -209,33 +220,66 @@ public:
     return Sketches[Col].estimate();
   }
 
-  /// Approximate heap bytes used by rows, indexes and sketches. Index
-  /// cost is tracked at bucket-vector granularity including unused
-  /// capacity from growth, so the estimate no longer drifts low as
-  /// buckets grow.
+  /// Approximate heap bytes used by rows, the primary map, indexes and
+  /// sketches. Slot arrays and bucket storage are charged at their
+  /// allocated capacity, and each bucket at its vector capacity, so the
+  /// estimate does not drift low as tables and buckets grow.
   size_t memoryBytes() const;
 
 private:
+  /// One open-addressing slot: the 64-bit hash of the key columns it
+  /// stands for, a row holding those columns (the compare target that
+  /// confirms a hash hit), and — in secondary indexes — the bucket id.
+  struct Slot {
+    uint64_t Hash = 0;
+    uint32_t Row = NoRow; ///< NoRow = empty slot
+    uint32_t Bucket = 0;
+  };
+
+  /// Linear-probing slot array sized by load factor (power-of-two
+  /// capacity, grown at 70% load, nothing allocated while empty). The
+  /// stored hash decides nothing on its own: every hash hit is confirmed
+  /// by the caller's column compare against Slot::Row.
+  struct SlotArray {
+    std::vector<Slot> Slots;
+    size_t Count = 0;
+
+    /// The slot whose row \p Eq accepts under hash \p H, or nullptr.
+    template <typename EqFn> const Slot *find(uint64_t H, EqFn Eq) const;
+    /// As find(), but on a miss claims the empty slot for \p H (growing
+    /// first if needed) and returns it with Row == NoRow for the caller
+    /// to fill.
+    template <typename EqFn> Slot &findOrInsert(uint64_t H, EqFn Eq);
+    size_t bytes() const { return Slots.capacity() * sizeof(Slot); }
+  };
+
   struct Index {
     uint64_t Mask;
-    std::unordered_map<Value, std::vector<uint32_t>> Buckets;
-    /// Capacity-aware byte estimate of this index's buckets (vector
-    /// capacity + per-bucket map-node overhead), maintained by add().
-    size_t Bytes = 0;
-    /// Rows in the largest bucket and Σ bucket², maintained by add() and
-    /// the partial-merge builder; read by indexStats() for the cost model.
+    SlotArray Map; ///< projection hash -> bucket id
+    /// Bucket storage with stable addresses (see probe()); the small first
+    /// segment keeps indexes of tiny tables tiny.
+    SegmentedVector<Bucket, 2> Buckets;
+    /// Capacity-aware byte estimate of the buckets' id payloads,
+    /// maintained by addToIndex().
+    size_t PayloadBytes = 0;
+    /// Rows in the largest bucket and Σ bucket², maintained by addToIndex();
+    /// read by indexStats() for the cost model.
     size_t MaxBucket = 0;
     uint64_t SumSquares = 0;
 
-    /// Appends \p Id to the bucket of \p Proj, keeping Bytes in sync with
-    /// actual vector capacity growth.
-    void add(Value Proj, uint32_t Id);
+    explicit Index(uint64_t Mask) : Mask(Mask) {}
   };
 
-  Value projectKey(std::span<const Value> KeyElems, uint64_t Mask) const;
+  /// True if row \p Row's columns under \p Mask equal \p Proj.
+  bool projMatches(uint32_t Row, uint64_t Mask,
+                   std::span<const Value> Proj) const;
+
+  /// Appends row \p Id (key columns \p Key) to its bucket in \p Ix.
+  void addToIndex(Index &Ix, std::span<const Value> Key, uint32_t Id);
   IndexStats statsOf(const Index &Ix) const;
   Index &ensureIndex(uint64_t Mask);
   Index *findIndex(uint64_t Mask);
+  const Index *findIndex(uint64_t Mask) const;
 
   unsigned KeyArity;
   const Lattice &Lat;
@@ -244,11 +288,11 @@ private:
   size_t NumTombstones = 0;
 
   std::vector<Row> Rows;
-  std::unordered_map<Value, uint32_t> Primary;
+  SlotArray Primary; ///< whole-key hash -> row id
   std::vector<Index> Indexes;
   /// One per key column, updated only when join() appends a new row.
   std::vector<DistinctSketch> Sketches;
-  static const std::vector<uint32_t> EmptyBucket;
+  static const Bucket EmptyBucket;
 };
 
 } // namespace flix

@@ -40,15 +40,18 @@ struct IncrementalSolver::Task {
 struct IncrementalSolver::WorkerCtx {
   /// One buffered derivation: head cell content plus the premise rows
   /// that produced it, and — for rules with negated atoms — the
-  /// (predicate, key tuple) pairs the match went through `!P(key)` on,
-  /// so the coordinator can record negation support edges.
+  /// predicates and key columns the match went through `!P(key)` on, so
+  /// the coordinator can record negation support edges.
   struct Deriv {
     PredId Pred;
     Value Key;
     Value Lat;
     uint32_t RuleIdx;
     SmallVector<CellRef, 4> Premises;
-    SmallVector<std::pair<PredId, Value>, 2> NegKeys;
+    /// Negated predicates, in body order; NegCols holds their key
+    /// columns back to back (each predicate's key arity of them).
+    SmallVector<PredId, 1> NegPreds;
+    std::vector<Value> NegCols;
   };
 
   IncrementalSolver &IS;
@@ -86,10 +89,10 @@ struct IncrementalSolver::WorkerCtx {
   bool checkRow() { return false; } // updates have no deadline
   uint64_t &rowsScanned() { return RowsScanned; }
 
-  const std::vector<uint32_t> *probeBucket(const plan::Step &St, Value ProjT,
-                                           std::vector<uint32_t> &) {
-    if (const std::vector<uint32_t> *Bucket =
-            Sol->Tables[St.Pred]->probeExisting(St.Mask, ProjT))
+  const Table::Bucket *probeBucket(const plan::Step &St,
+                                   std::span<const Value> Proj) {
+    if (const Table::Bucket *Bucket =
+            Sol->Tables[St.Pred]->probeExisting(St.Mask, Proj))
       return Bucket;
     ++IndexFallbacks;
     assert(!IS.Opts.StrictIndexCoverage &&
@@ -127,9 +130,8 @@ struct IncrementalSolver::WorkerCtx {
   }
 
   /// Captures the negated keys a full match went through, read from the
-  /// (fully bound at derivation time) environment. Interning the key
-  /// tuple from a worker is safe: parallel mode switches the factory to
-  /// concurrent interning before the first round.
+  /// (fully bound at derivation time) environment. The columns are copied,
+  /// not interned: a missed negation key has no row to own a tuple.
   void captureNegKeys(Deriv &Dv) {
     if (!IS.RuleHasNeg[CurRuleIdx])
       return;
@@ -139,14 +141,11 @@ struct IncrementalSolver::WorkerCtx {
       if (!A || !A->Negated)
         continue;
       unsigned KA = IS.P.predicate(A->Pred).keyArity();
-      SmallVector<Value, 4> Key;
+      Dv.NegPreds.push_back(A->Pred);
       for (unsigned I = 0; I < KA; ++I) {
         const Term &Tm = A->Terms[I];
-        Key.push_back(Tm.isVar() ? Env[Tm.Variable] : Tm.Constant);
+        Dv.NegCols.push_back(Tm.isVar() ? Env[Tm.Variable] : Tm.Constant);
       }
-      Dv.NegKeys.push_back(
-          {A->Pred,
-           IS.F.tuple(std::span<const Value>(Key.data(), Key.size()))});
     }
   }
 
@@ -335,19 +334,6 @@ void IncrementalSolver::recordSupportEdge(CellRef Prem, CellRef Head) {
   std::rotate(Out.begin() + Idx, Out.end() - 1, Out.end());
 }
 
-void IncrementalSolver::recordNegSupportEdge(PredId Pred, Value KeyT,
-                                             CellRef Head) {
-  // Sorted-unique insertion, matching Solver::recordSupport's negated
-  // branch — both write Solver::NegDependents.
-  auto &Out = S->NegDependents[Pred][KeyT];
-  auto It = std::lower_bound(Out.begin(), Out.end(), Head);
-  if (It != Out.end() && *It == Head)
-    return;
-  size_t Idx = static_cast<size_t>(It - Out.begin());
-  Out.push_back(Head);
-  std::rotate(Out.begin() + Idx, Out.end() - 1, Out.end());
-}
-
 void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
   // Apply staged mutations to the store only: a fresh solve reads the
   // materialized store. Retractions first, then additions — a batch that
@@ -487,8 +473,13 @@ void IncrementalSolver::mergeWorkerDerivs() {
       CellRef Head{D.Pred, JR.RowId};
       for (CellRef Prem : D.Premises)
         recordSupportEdge(Prem, Head);
-      for (const auto &[NegPred, NegKey] : D.NegKeys)
-        recordNegSupportEdge(NegPred, NegKey, Head);
+      const Value *NegCol = D.NegCols.data();
+      for (PredId NegPred : D.NegPreds) {
+        size_t KA = P.predicate(NegPred).keyArity();
+        Sol.recordNegSupport(NegPred, std::span<const Value>(NegCol, KA),
+                             Head);
+        NegCol += KA;
+      }
       if (Opts.TrackProvenance) {
         Derivation Der;
         Der.RuleIndex = D.RuleIdx;
@@ -817,7 +808,9 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
         // already tombstoned, or already deleted this update (a Phase R
         // revival carries a fact-only value until its own stratum runs,
         // and facts never depend on a negation), need no second pass.
-        auto It = Sol.NegDependents[Pr].find(KeyT);
+        std::span<const Value> Key = T.rowKey(Row);
+        auto It = Sol.NegDependents[Pr].find(
+            Solver::NegKey(Key.begin(), Key.end()));
         if (It == Sol.NegDependents[Pr].end())
           continue;
         for (CellRef D : It->second)

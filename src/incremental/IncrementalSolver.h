@@ -215,7 +215,6 @@ private:
   void incrementalUpdate(UpdateStats &U, Deadline DL);
   void noteChanged(PredId Pred, uint32_t Row);
   void recordSupportEdge(CellRef Prem, CellRef Head);
-  void recordNegSupportEdge(PredId Pred, Value KeyT, CellRef Head);
   void ensureParallel();
   void prepareWorkerIndexes();
   void runParallelRound(const std::vector<uint32_t> &RuleIds);
@@ -256,7 +255,7 @@ private:
 
   /// Per rule index: true iff the rule has a negated body atom. Workers
   /// consult it to decide whether a buffered derivation must capture the
-  /// negated keys it matched through (WorkerCtx::Deriv::NegKeys).
+  /// negated keys it matched through (WorkerCtx::Deriv::NegPreds).
   std::vector<uint8_t> RuleHasNeg;
 
   /// Rows changed so far in the current update(), per predicate; seeds

@@ -195,15 +195,15 @@ struct ParallelSolver::WorkerCtx {
   bool checkRow() { return checkAbort(); }
   uint64_t &rowsScanned() { return RowsScanned; }
 
-  /// Buckets are immutable during an eval phase, so no copy is taken (the
-  /// scratch vector stays untouched) and the returned pointer is a stable
-  /// spill target. A miss means the static index analysis and the plan
-  /// compiler disagreed on a mask — counted, fatal under
-  /// StrictIndexCoverage, and answered with a full-scan fallback.
-  const std::vector<uint32_t> *probeBucket(const plan::Step &St, Value ProjT,
-                                           std::vector<uint32_t> &) {
-    if (const std::vector<uint32_t> *Bucket =
-            S.Tables[St.Pred]->probeExisting(St.Mask, ProjT))
+  /// Buckets are immutable during an eval phase and never move, so the
+  /// returned pointer is a stable spill target. A miss means the static
+  /// index analysis and the plan compiler disagreed on a mask — counted,
+  /// fatal under StrictIndexCoverage, and answered with a full-scan
+  /// fallback.
+  const Table::Bucket *probeBucket(const plan::Step &St,
+                                   std::span<const Value> Proj) {
+    if (const Table::Bucket *Bucket =
+            S.Tables[St.Pred]->probeExisting(St.Mask, Proj))
       return Bucket;
     ++IndexFallbacks;
     assert(!S.Opts.StrictIndexCoverage &&
@@ -417,14 +417,13 @@ ParallelSolver::computeWantedIndexes() const {
   return {Wanted.begin(), Wanted.end()};
 }
 
-/// Builds the wanted indexes through the pool in two phases: (1) one task
-/// per (pred, row-chunk) scans its chunk once and fills per-mask partial
-/// buckets; (2) one task per (pred, mask) concatenates that mask's
-/// partials (ordered by row range, so buckets stay ascending) into the
-/// pre-created Index slot. Distinct (pred, mask) merges touch disjoint
-/// Index objects, so phase 2 needs no locking; empty tables only get
-/// their (empty) slots, which Table::join then maintains incrementally as
-/// rows arrive from merge phases.
+/// Builds the wanted indexes through the pool, one task per (pred, mask):
+/// every wanted index is created empty first, serially, and each
+/// task then fills its own Index object straight from the rows in
+/// ascending order (so buckets stay ascending). Distinct masks touch
+/// disjoint Index objects and intern nothing, so the tasks need no
+/// locking. Empty tables only get their (empty) indexes, which Table::join
+/// then maintains incrementally as rows arrive from merge phases.
 void ParallelSolver::buildStaticIndexes() {
   std::vector<std::pair<PredId, uint64_t>> Wanted = computeWantedIndexes();
   // On a repeat call (after a re-plan) most indexes already exist —
@@ -432,69 +431,17 @@ void ParallelSolver::buildStaticIndexes() {
   std::erase_if(Wanted, [&](const std::pair<PredId, uint64_t> &W) {
     return Tables[W.first]->hasIndex(W.second);
   });
+  for (auto [Pred, Mask] : Wanted)
+    Tables[Pred]->reserveIndex(Mask);
+  std::erase_if(Wanted, [&](const std::pair<PredId, uint64_t> &W) {
+    return Tables[W.first]->size() == 0; // nothing to scan
+  });
   if (Wanted.empty())
     return;
-
-  struct BuildJob {
-    PredId Pred;
-    std::vector<uint64_t> Masks;
-    uint32_t NumChunks, ChunkSize;
-    /// Partials[MaskIdx][Chunk]; rows [Chunk*ChunkSize, ...+ChunkSize).
-    std::vector<std::vector<Table::PartialIndex>> Partials;
-  };
-  std::vector<BuildJob> Jobs;
-  for (size_t I = 0; I < Wanted.size();) {
-    PredId Pred = Wanted[I].first;
-    BuildJob J{Pred, {}, 0, 0, {}};
-    for (; I < Wanted.size() && Wanted[I].first == Pred; ++I)
-      J.Masks.push_back(Wanted[I].second);
-    Tables[Pred]->reserveIndexSlots(
-        std::span<const uint64_t>(J.Masks.data(), J.Masks.size()));
-    uint32_t NumRows = static_cast<uint32_t>(Tables[Pred]->size());
-    if (NumRows == 0)
-      continue; // slots exist; nothing to scan
-    // One chunk per worker unless the table is too small to amortize the
-    // per-task overhead.
-    constexpr uint32_t MinChunk = 1024;
-    J.NumChunks = std::min<uint32_t>(
-        NumWorkers, std::max<uint32_t>(1, NumRows / MinChunk));
-    J.ChunkSize = (NumRows + J.NumChunks - 1) / J.NumChunks;
-    J.Partials.assign(J.Masks.size(),
-                      std::vector<Table::PartialIndex>(J.NumChunks));
-    Jobs.push_back(std::move(J));
-  }
-
-  // Phase 1: (job, chunk) scan tasks.
-  std::vector<std::pair<uint32_t, uint32_t>> Scans;
-  for (uint32_t JI = 0; JI < Jobs.size(); ++JI)
-    for (uint32_t C = 0; C < Jobs[JI].NumChunks; ++C)
-      Scans.push_back({JI, C});
-  Pool->run(Scans.size(), [&](size_t I, unsigned) {
-    auto [JI, C] = Scans[I];
-    BuildJob &J = Jobs[JI];
-    const Table &T = *Tables[J.Pred];
-    uint32_t Begin = C * J.ChunkSize;
-    uint32_t End = std::min<uint32_t>(Begin + J.ChunkSize,
-                                      static_cast<uint32_t>(T.size()));
-    for (size_t M = 0; M < J.Masks.size(); ++M)
-      T.buildPartialIndex(J.Masks[M], Begin, End, J.Partials[M][C]);
+  Pool->run(Wanted.size(), [&](size_t I, unsigned) {
+    Tables[Wanted[I].first]->fillIndex(Wanted[I].second);
   });
-
-  // Phase 2: (job, mask) merge tasks.
-  std::vector<std::pair<uint32_t, uint32_t>> Merges;
-  for (uint32_t JI = 0; JI < Jobs.size(); ++JI)
-    for (uint32_t M = 0; M < Jobs[JI].Masks.size(); ++M)
-      Merges.push_back({JI, M});
-  Pool->run(Merges.size(), [&](size_t I, unsigned) {
-    auto [JI, M] = Merges[I];
-    BuildJob &J = Jobs[JI];
-    Tables[J.Pred]->buildIndexFromPartials(
-        J.Masks[M],
-        std::span<Table::PartialIndex>(J.Partials[M].data(),
-                                       J.Partials[M].size()));
-  });
-
-  Stats.IndexBuildTasks += Scans.size() + Merges.size();
+  Stats.IndexBuildTasks += Wanted.size();
 }
 
 bool ParallelSolver::replanPlans(
@@ -755,16 +702,14 @@ SolveStats ParallelSolver::solve() {
 bool ParallelSolver::contains(PredId Pred,
                               std::span<const Value> Tuple) const {
   assert(P.predicate(Pred).isRelational() && "contains() is for relations");
-  Value KeyT = F.tuple(Tuple);
-  return Tables[Pred]->lookup(KeyT) != nullptr;
+  return Tables[Pred]->lookup(Tuple) != nullptr;
 }
 
 Value ParallelSolver::latValue(PredId Pred,
                                std::span<const Value> Key) const {
   const PredicateDecl &D = P.predicate(Pred);
   assert(!D.isRelational() && "latValue() is for lattice predicates");
-  Value KeyT = F.tuple(Key);
-  const Value *V = Tables[Pred]->lookup(KeyT);
+  const Value *V = Tables[Pred]->lookup(Key);
   return V ? *V : D.Lat->bot();
 }
 

@@ -113,9 +113,8 @@ private:
   /// by construction, so any body order the cost-based planner picks is
   /// covered.
   std::vector<std::pair<PredId, uint64_t>> computeWantedIndexes() const;
-  /// Pre-builds those indexes through the pool: per-(pred, row-chunk)
-  /// partial scans, then per-(pred, mask) merges via
-  /// Table::buildIndexFromPartials. Runs in solve() after fact loading
+  /// Pre-builds those indexes through the pool, one Table::fillIndex task
+  /// per (pred, mask). Runs in solve() after fact loading
   /// (the tables are empty before that), replacing the old sequential
   /// constructor-time build. Safe to call again after a re-plan: indexes
   /// that already exist are skipped, only newly wanted masks are built.

@@ -178,6 +178,16 @@ public:
   /// the benchmark harness as a deterministic memory metric.
   size_t memoryBytes() const;
 
+  /// Number of distinct sequences (tuples and sets) interned so far.
+  /// Interned values are never reclaimed, so this only grows; tests use
+  /// it to check that lookups and probes intern nothing.
+  size_t internedSequences() const {
+    size_t N = 0;
+    for (const Shard &S : Shards)
+      N += S.Seqs.size();
+    return N;
+  }
+
   /// Switches interning to lock-sharded concurrent operation (see class
   /// comment). One-way: once enabled it stays enabled, so concurrent
   /// solvers sharing this factory cannot race on the mode itself.

@@ -36,9 +36,10 @@ namespace flix {
 
 /// Append-only segmented vector with stable references. Appends must be
 /// externally synchronized; reads of already-published elements need no
-/// synchronization (see file comment).
-template <typename T> class SegmentedVector {
-  static constexpr size_t BaseBits = 10; ///< first segment: 1024 elements
+/// synchronization (see file comment). The first segment holds 2^BaseBits
+/// elements: large for the interning tables, small where many instances
+/// each hold only a few elements (a table's index buckets).
+template <typename T, size_t BaseBits = 10> class SegmentedVector {
   static constexpr size_t NumSegments = 40;
 
   /// Element I lives in segment K at offset I - (2^K - 1)·Base, where

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <thread>
 
 using namespace flix;
 
@@ -28,6 +30,8 @@ protected:
   ParityLattice L{F};
 
   Value key(int A, int B) { return F.tuple({F.integer(A), F.integer(B)}); }
+  /// A one-column probe projection (raw values; nothing is interned).
+  std::array<Value, 1> col(int A) { return {F.integer(A)}; }
 };
 
 TEST_F(TableTest, InsertAndLookup) {
@@ -74,13 +78,12 @@ TEST_F(TableTest, SecondaryIndexProbing) {
     for (int B = 0; B < 3; ++B)
       T.join(key(A, B), L.odd());
   // Probe on column 0 = 2.
-  Value Proj = F.tuple({F.integer(2)});
-  const std::vector<uint32_t> &Bucket = T.probe(0b01, Proj);
+  const Table::Bucket &Bucket = T.probe(0b01, col(2));
   EXPECT_EQ(Bucket.size(), 3u);
   for (uint32_t Id : Bucket)
     EXPECT_EQ(T.rowKey(Id)[0].asInt(), 2);
   // Probe on column 1 = 0.
-  const std::vector<uint32_t> &B2 = T.probe(0b10, F.tuple({F.integer(0)}));
+  const Table::Bucket &B2 = T.probe(0b10, col(0));
   EXPECT_EQ(B2.size(), 5u);
   EXPECT_EQ(T.numIndexes(), 2u);
 }
@@ -88,17 +91,16 @@ TEST_F(TableTest, SecondaryIndexProbing) {
 TEST_F(TableTest, IndexStaysInSyncWithNewRows) {
   Table T(2, L, F);
   T.join(key(1, 1), L.odd());
-  Value Proj = F.tuple({F.integer(1)});
-  EXPECT_EQ(T.probe(0b01, Proj).size(), 1u);
+  EXPECT_EQ(T.probe(0b01, col(1)).size(), 1u);
   // Insert after the index exists; the index must pick it up.
   T.join(key(1, 2), L.odd());
-  EXPECT_EQ(T.probe(0b01, Proj).size(), 2u);
+  EXPECT_EQ(T.probe(0b01, col(1)).size(), 2u);
 }
 
 TEST_F(TableTest, ProbeMissReturnsEmpty) {
   Table T(2, L, F);
   T.join(key(1, 1), L.odd());
-  EXPECT_TRUE(T.probe(0b01, F.tuple({F.integer(9)})).empty());
+  EXPECT_TRUE(T.probe(0b01, col(9)).empty());
 }
 
 TEST_F(TableTest, MemoryAccountingGrows) {
@@ -106,7 +108,7 @@ TEST_F(TableTest, MemoryAccountingGrows) {
   size_t Before = T.memoryBytes();
   for (int I = 0; I < 1000; ++I)
     T.join(key(I, I), L.odd());
-  T.probe(0b01, F.tuple({F.integer(0)}));
+  T.probe(0b01, col(0));
   EXPECT_GT(T.memoryBytes(), Before);
 }
 
@@ -134,7 +136,7 @@ TEST_F(TableTest, MemoryAccountingCoversBucketCapacity) {
   for (int I = 0; I < N; ++I)
     T.join(key(7, I), L.odd());
   size_t RowsOnly = T.memoryBytes();
-  T.probe(0b01, F.tuple({F.integer(7)}));
+  T.probe(0b01, col(7));
   size_t WithIndex = T.memoryBytes();
   size_t IndexBytes = WithIndex - RowsOnly;
   // Lower bound: the ids actually stored (capacity >= size).
@@ -182,46 +184,94 @@ TEST_F(TableTest, ColumnSketchNeverDropsOnTombstones) {
   EXPECT_EQ(T.distinctEstimate(0), Before);
 }
 
-TEST_F(TableTest, BuildIndexFromPartialsMatchesIncrementalIndex) {
-  // The pool-parallel build path (partial scans + merge) must produce the
-  // same buckets, in the same ascending-id order, as the incremental
-  // ensureIndex path — probeExisting on one must equal probe on the other.
+TEST_F(TableTest, PrebuiltIndexMatchesLazyIndex) {
+  // The parallel engine pre-builds its indexes (reserveIndex, then one
+  // concurrent fillIndex per mask). That must produce the same
+  // buckets, in the same ascending-id order, and the same planner
+  // statistics as the lazy path the sequential engine takes on its first
+  // probe — probeExisting on one must equal probe on the other.
   constexpr int N = 100;
-  Table Inc(2, L, F), Par(2, L, F);
+  Table Lazy(2, L, F), Pre(2, L, F);
   for (int I = 0; I < N; ++I) {
-    Inc.join(key(I % 7, I), L.odd());
-    Par.join(key(I % 7, I), L.odd());
+    Lazy.join(key(I % 7, I), L.odd());
+    Pre.join(key(I % 7, I), L.odd());
   }
 
-  uint64_t Mask = 0b01;
-  std::vector<Table::PartialIndex> Parts(3);
-  uint32_t Chunk = (N + 2) / 3;
-  for (uint32_t C = 0; C < 3; ++C)
-    Par.buildPartialIndex(Mask, C * Chunk,
-                          std::min<uint32_t>((C + 1) * Chunk, N), Parts[C]);
-  Par.reserveIndexSlots(std::span<const uint64_t>(&Mask, 1));
-  EXPECT_EQ(Par.numIndexes(), 1u);
-  Par.buildIndexFromPartials(
-      Mask, std::span<Table::PartialIndex>(Parts.data(), Parts.size()));
+  const std::array<uint64_t, 2> Masks = {0b01, 0b10};
+  for (uint64_t Mask : Masks)
+    Pre.reserveIndex(Mask);
+  EXPECT_EQ(Pre.numIndexes(), 2u);
+  std::thread Other([&] { Pre.fillIndex(Masks[1]); });
+  Pre.fillIndex(Masks[0]);
+  Other.join();
 
-  for (int A = 0; A < 7; ++A) {
-    Value Proj = F.tuple({F.integer(A)});
-    const std::vector<uint32_t> *B = Par.probeExisting(Mask, Proj);
-    ASSERT_NE(B, nullptr);
-    EXPECT_EQ(*B, Inc.probe(Mask, Proj)) << "column value " << A;
-    EXPECT_TRUE(std::is_sorted(B->begin(), B->end()));
+  for (uint64_t Mask : Masks) {
+    for (int A = 0; A < N; ++A) {
+      const Table::Bucket *B = Pre.probeExisting(Mask, col(A));
+      ASSERT_NE(B, nullptr);
+      EXPECT_EQ(*B, Lazy.probe(Mask, col(A)))
+          << "mask " << Mask << " column value " << A;
+      EXPECT_TRUE(std::is_sorted(B->begin(), B->end()));
+    }
+    // Both build paths maintain the same planner statistics.
+    Table::IndexStats SLazy, SPre;
+    ASSERT_TRUE(Lazy.indexStats(Mask, SLazy));
+    ASSERT_TRUE(Pre.indexStats(Mask, SPre));
+    EXPECT_EQ(SPre.Buckets, SLazy.Buckets);
+    EXPECT_EQ(SPre.MaxBucket, SLazy.MaxBucket);
+    EXPECT_EQ(SPre.RowWeightedBucket, SLazy.RowWeightedBucket);
   }
-  // Both build paths maintain the same planner statistics.
-  Table::IndexStats SInc, SPar;
-  ASSERT_TRUE(Inc.indexStats(Mask, SInc));
-  ASSERT_TRUE(Par.indexStats(Mask, SPar));
-  EXPECT_EQ(SPar.Buckets, SInc.Buckets);
-  EXPECT_EQ(SPar.MaxBucket, SInc.MaxBucket);
-  EXPECT_EQ(SPar.RowWeightedBucket, SInc.RowWeightedBucket);
-  // New rows keep flowing into the merged index afterwards.
-  Par.join(key(3, 999), L.odd());
-  EXPECT_EQ(Par.probeExisting(Mask, F.tuple({F.integer(3)}))->back(),
+  EXPECT_EQ(Pre.memoryBytes(), Lazy.memoryBytes());
+  // New rows keep flowing into the pre-built index afterwards.
+  Pre.join(key(3, 999), L.odd());
+  EXPECT_EQ(Pre.probeExisting(0b01, col(3))->back(),
             static_cast<uint32_t>(N));
+}
+
+TEST_F(TableTest, ProbedBucketStaysValidAcrossGrowth) {
+  // Parallel spills and the sequential executor hold bucket references
+  // while the table grows: joins append to the bucket, thousands of new
+  // keys regrow the slot array, and another index gets created.
+  Table T(2, L, F);
+  for (int I = 0; I < 3; ++I)
+    T.join(key(5, I), L.odd());
+  const Table::Bucket &B = T.probe(0b01, col(5));
+  const std::vector<uint32_t> First(B.begin(), B.end());
+  ASSERT_EQ(First.size(), 3u);
+
+  for (int I = 3; I < 200; ++I) // grow the probed bucket
+    T.join(key(5, I), L.odd());
+  for (int I = 0; I < 5000; ++I) // regrow the slot array, many buckets
+    T.join(key(1000 + I, I), L.odd());
+  T.prepareIndex(0b10); // a second index
+  for (int I = 200; I < 300; ++I)
+    T.join(key(5, I), L.odd());
+
+  EXPECT_EQ(&T.probe(0b01, col(5)), &B) << "bucket moved";
+  ASSERT_EQ(B.size(), 300u);
+  EXPECT_TRUE(std::equal(First.begin(), First.end(), B.begin()));
+  EXPECT_TRUE(std::is_sorted(B.begin(), B.end()));
+  for (uint32_t Id : B)
+    EXPECT_EQ(T.rowKey(Id)[0], F.integer(5));
+}
+
+TEST_F(TableTest, LookupsAndProbesOfUnseenKeysInternNothing) {
+  Table T(2, L, F);
+  for (int I = 0; I < 50; ++I)
+    T.join(key(I % 5, I), L.odd());
+  T.prepareIndex(0b01);
+  const size_t Before = F.internedSequences();
+  EXPECT_TRUE(T.probe(0b01, col(77)).empty());
+  EXPECT_TRUE(T.probe(0b10, col(-3)).empty()); // builds an index, too
+  EXPECT_TRUE(T.probeExisting(0b01, col(78))->empty());
+  const std::array<Value, 2> Unseen = {F.integer(6), F.integer(600)};
+  EXPECT_EQ(T.lookup(Unseen), nullptr);
+  EXPECT_EQ(T.lookupRow(Unseen), Table::NoRow);
+  // Seen keys are found without interning either.
+  const std::array<Value, 2> Seen = {F.integer(3), F.integer(13)};
+  EXPECT_NE(T.lookupRow(Seen), Table::NoRow);
+  EXPECT_EQ(T.probe(0b01, col(3)).size(), 10u);
+  EXPECT_EQ(F.internedSequences(), Before);
 }
 
 TEST_F(TableTest, IndexStatsWeightBucketsByRows) {
