@@ -493,7 +493,7 @@ void runVmEngineAblation(long Reps, JsonReport *Json) {
 
 int main(int Argc, char **Argv) {
   long Reps = envInt("FLIX_TABLE2_REPS", 1);
-  int Work = static_cast<int>(envInt("FLIX_TABLE2_WORK", 6000));
+  int Work = static_cast<int>(envInt("FLIX_TABLE2_WORK", 2500));
 
   std::string JsonPath;
   std::vector<unsigned> Threads;

@@ -705,6 +705,19 @@ void PlanLibrary::recountDerived() {
   }
 }
 
+bool PlanLibrary::replan(std::span<const std::unique_ptr<Table>> Tables,
+                         double Threshold, SolveCounters *Events,
+                         std::span<const std::vector<uint32_t>> Deltas) {
+  StatsVec St;
+  gatherStats(Tables, St);
+  ReplanResult R = replanFromStats(St, Threshold, Deltas);
+  if (Events) {
+    Events->ReplanEvents += R.Replanned;
+    Events->EstimatedVsActualRows += R.RowsDivergence;
+  }
+  return R.Replanned != 0;
+}
+
 void PlanLibrary::wantedIndexes(
     std::vector<std::vector<uint64_t>> &MasksByPred) const {
   auto Collect = [&](const std::vector<std::vector<RulePlan>> &Family) {
@@ -724,4 +737,27 @@ void PlanLibrary::wantedIndexes(
     std::sort(Masks.begin(), Masks.end());
     Masks.erase(std::unique(Masks.begin(), Masks.end()), Masks.end());
   }
+}
+
+void flix::plan::fillGauges(SolveCounters &C, const Program &P,
+                            const PlanLibrary &Plans, size_t MemoryBytes) {
+  C.PlanSteps = Plans.totalSteps();
+  C.CostBasedPlans = Plans.costBasedPlans();
+  C.VmInlinedCalls = P.vmPipelineCounters().InlinedCalls;
+  C.VmSuperwordHits = P.vmPipelineCounters().SuperwordHits;
+  C.VmPassesRemovedInsns = P.vmPipelineCounters().RemovedInsns;
+  C.MemoryBytes = MemoryBytes;
+}
+
+SolveCounters flix::plan::readSharedCounters(const Program &P,
+                                             const ExternMemo *Memo,
+                                             uint64_t Steals) {
+  SolveCounters C;
+  if (Memo) {
+    C.MemoHits = Memo->hits();
+    C.MemoMisses = Memo->misses();
+  }
+  C.VmInlineCacheHits = P.vmIcHits();
+  C.ParallelSteals = Steals;
+  return C;
 }

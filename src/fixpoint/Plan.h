@@ -43,6 +43,7 @@
 #define FLIX_FIXPOINT_PLAN_H
 
 #include "fixpoint/Program.h"
+#include "fixpoint/Stats.h"
 #include "fixpoint/Table.h"
 
 #include <array>
@@ -335,6 +336,16 @@ public:
   replanFromStats(const StatsVec &Stats, double Threshold,
                   std::span<const std::vector<uint32_t>> Deltas = {});
 
+  /// replanFromStats over fresh statistics of \p Tables (by PredId): the
+  /// re-planning step every engine runs. The adaptive checks pass the
+  /// engine's counters as \p Events, which count the replans and the row
+  /// drift; the initial choice passes null. Returns true if any plan
+  /// changed, after which engines whose workers probe read-only must
+  /// pre-build the newly wanted indexes.
+  bool replan(std::span<const std::unique_ptr<Table>> Tables,
+              double Threshold, SolveCounters *Events,
+              std::span<const std::vector<uint32_t>> Deltas = {});
+
   /// Plans whose current order differs from the frozen driver-first
   /// order, counted once per (rule, driver) and once per negation-driven
   /// plan (SolveStats::CostBasedPlans).
@@ -458,14 +469,13 @@ private:
 
 /// The one extern dispatch every engine routes through. Picks the
 /// bytecode-VM body when \p UseVm and one is attached (an interpreted
-/// function without one counts in \p InterpFallbacks), runs it through
+/// function without one counts in InterpFallbacks), runs it through
 /// \p Memo when non-null, and counts actual VM executions (memo hits
-/// excluded) in \p VmCalls. The counters are the caller's own slots, so
+/// excluded) in VmCalls. \p C is the caller's own counter block, so
 /// parallel workers count without sharing.
 inline Value callExtern(const Program &P, FnId Fn,
                         std::span<const Value> Args, bool UseVm,
-                        ExternMemo *Memo, uint64_t &VmCalls,
-                        uint64_t &InterpFallbacks) {
+                        ExternMemo *Memo, SolveCounters &C) {
   const ExternFn &D = P.functionDecl(Fn);
   const ExternImpl *Impl = &D.Impl;
   bool ViaVm = false;
@@ -474,17 +484,29 @@ inline Value callExtern(const Program &P, FnId Fn,
       Impl = &D.VmImpl;
       ViaVm = true;
     } else if (D.InterpOnly) {
-      ++InterpFallbacks;
+      ++C.InterpFallbacks;
     }
   }
   auto Compute = [&] {
-    VmCalls += ViaVm;
+    C.VmCalls += ViaVm;
     return (*Impl)(Args);
   };
   if (Memo)
     return Memo->call(Fn, Args, Compute);
   return Compute();
 }
+
+/// Fills the gauge counters at the end of a run, the same way in every
+/// engine; \p MemoryBytes is the engine's own footprint.
+void fillGauges(SolveCounters &C, const Program &P, const PlanLibrary &Plans,
+                size_t MemoryBytes);
+
+/// The work counters engines read from shared state instead of counting:
+/// memo hits and misses (\p Memo may be null), the program's VM
+/// inline-cache hits and \p Steals, the engine pool's. All are lifetime
+/// totals, so a run adds the difference of two readings (addSince).
+SolveCounters readSharedCounters(const Program &P, const ExternMemo *Memo,
+                                 uint64_t Steals = 0);
 
 //===----------------------------------------------------------------------===//
 // PlanExecutor
@@ -529,12 +551,13 @@ inline void deriveWithPlan(EngineT &E, ValueFactory &F, const RulePlan &Pl) {
 ///   ValueFactory &factory();
 ///   Table &table(PredId);
 ///   bool checkRow();                      // true => abort the evaluation
-///   uint64_t &rowsScanned();              // SolveStats::RowsScanned sink
+///   SolveCounters &counters();            // the engine's counter block
 ///   Value callExtern(FnId, std::span<const Value>);
 ///   // Indexed probe with the bound columns' values; returns nullptr to
-///   // request the full-scan fallback (counting/asserting per engine
-///   // policy). The bucket must stay valid while the cursor iterates it;
-///   // rows appended to it meanwhile lie past the cursor's fixed End.
+///   // request the full-scan fallback (counted as an IndexFallbacks;
+///   // the engine may assert against it). The bucket must stay valid
+///   // while the cursor iterates it; rows appended to it meanwhile lie
+///   // past the cursor's fixed End.
 ///   const Table::Bucket *probeBucket(const Step &,
 ///                                    std::span<const Value> Proj);
 ///   // Intra-rule spilling hook (parallel workers): may capture
@@ -668,6 +691,7 @@ private:
         return;
       }
       // No index for this mask: full scan with the full column tests.
+      ++E.counters().IndexFallbacks;
       C.UseFullCols = true;
       uint32_t End = static_cast<uint32_t>(E.table(S.Pred).size());
       C.Idx = E.maybeSpill(Pl, StepIdx, nullptr, 0, End);
@@ -717,7 +741,7 @@ private:
           return false;
         uint32_t RowId = C.RowList ? (*C.RowList)[C.Idx] : C.Idx;
         ++C.Idx;
-        ++E.rowsScanned();
+        ++E.counters().RowsScanned;
         if (T.isTombstone(RowId))
           continue;
         if (!matchRow(S, C, T, RowId)) {

@@ -26,10 +26,10 @@ struct Solver::PlanEngine {
   ValueFactory &factory() { return S.F; }
   Table &table(PredId P) { return *S.Tables[P]; }
   bool checkRow() { return S.checkDeadline(); }
-  uint64_t &rowsScanned() { return S.Stats.RowsScanned; }
+  SolveCounters &counters() { return S.Stats; }
   Value callExtern(FnId Fn, std::span<const Value> Args) {
     return plan::callExtern(S.P, Fn, Args, S.Opts.UseVm, S.Memo.get(),
-                            S.Stats.VmCalls, S.Stats.InterpFallbacks);
+                            S.Stats);
   }
   /// The live bucket: derivations made while iterating may join new rows
   /// into this table and append to it in place, but the bucket never
@@ -366,22 +366,6 @@ size_t Solver::memoryFootprint() const {
   return Bytes;
 }
 
-bool Solver::replanPlans(double Threshold, bool CountEvents,
-                         std::span<const std::vector<uint32_t>> Deltas) {
-  if (!Opts.CostBasedPlans)
-    return false;
-  plan::StatsVec St;
-  plan::gatherStats({Tables.data(), Tables.size()}, St);
-  plan::PlanLibrary::ReplanResult R =
-      Plans->replanFromStats(St, Threshold, Deltas);
-  if (CountEvents) {
-    Stats.ReplanEvents += R.Replanned;
-    Stats.EstimatedVsActualRows += R.RowsDivergence;
-  }
-  Stats.CostBasedPlans = Plans->costBasedPlans();
-  return R.Replanned != 0;
-}
-
 void Solver::loadFacts() {
   const std::vector<Fact> &Facts = FactsOverride ? *FactsOverride
                                                  : P.facts();
@@ -398,23 +382,15 @@ SolveStats Solver::solve() {
 
   auto Start = std::chrono::steady_clock::now();
   DL = Deadline::after(Opts.TimeLimitSeconds);
-  uint64_t IcHitsAtStart = P.vmIcHits();
+  SolveCounters SharedAtStart = plan::readSharedCounters(P, Memo.get());
 
   auto finish = [&]() {
     Stats.Seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       Start)
             .count();
-    Stats.MemoryBytes = memoryFootprint();
-    Stats.PlanSteps = Plans->totalSteps();
-    if (Memo) {
-      Stats.MemoHits = Memo->hits();
-      Stats.MemoMisses = Memo->misses();
-    }
-    Stats.VmInlineCacheHits = P.vmIcHits() - IcHitsAtStart;
-    Stats.VmInlinedCalls = P.vmPipelineCounters().InlinedCalls;
-    Stats.VmSuperwordHits = P.vmPipelineCounters().SuperwordHits;
-    Stats.VmPassesRemovedInsns = P.vmPipelineCounters().RemovedInsns;
+    Stats.addSince(plan::readSharedCounters(P, Memo.get()), SharedAtStart);
+    plan::fillGauges(Stats, P, *Plans, memoryFootprint());
     return Stats;
   };
 
@@ -437,7 +413,8 @@ SolveStats Solver::solve() {
   // Initial cost-based order choice: plans were compiled against empty
   // tables, so the first useful statistics exist only now. Threshold 1.0
   // adopts any strict improvement; not counted as an adaptive replan.
-  replanPlans(1.0, /*CountEvents=*/false);
+  if (Opts.CostBasedPlans)
+    Plans->replan(Tables, 1.0, /*Events=*/nullptr);
 
   for (uint32_t S = 0; S < St.numStrata() && !Aborted; ++S) {
     const std::vector<uint32_t> &RuleIds = St.RulesByStratum[S];
@@ -498,8 +475,8 @@ SolveStats Solver::solve() {
       // no evaluation is in flight, so swapping plans is safe. The
       // sequential engine probes via Table::probe (lazy index build), so a
       // new mask needs no pre-building.
-      if (Opts.ReplanThreshold > 0)
-        replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true, Delta);
+      if (Opts.CostBasedPlans && Opts.ReplanThreshold > 0)
+        Plans->replan(Tables, Opts.ReplanThreshold, &Stats, Delta);
       for (uint32_t RI : RuleIds) {
         const Rule &R = P.rules()[RI];
         for (size_t BI = 0; BI < R.Body.size() && !Aborted; ++BI) {

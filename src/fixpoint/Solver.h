@@ -28,6 +28,7 @@
 #define FLIX_FIXPOINT_SOLVER_H
 
 #include "fixpoint/Program.h"
+#include "fixpoint/Stats.h"
 #include "fixpoint/Stratify.h"
 #include "fixpoint/Table.h"
 #include "support/Deadline.h"
@@ -141,86 +142,13 @@ struct Derivation {
   SmallVector<Premise, 4> Premises;
 };
 
-/// Outcome and counters of a solver run.
-struct SolveStats {
+/// Outcome and counters of a solver run. The counters are declared once,
+/// in the table of fixpoint/Stats.h.
+struct SolveStats : SolveCounters {
   enum class Status { Fixpoint, Timeout, IterationLimit, Error };
   Status St = Status::Fixpoint;
   std::string Error;
-
-  uint64_t Iterations = 0;   ///< delta rounds (or naive passes)
-  uint64_t RuleFirings = 0;  ///< successful full body matches
-  /// Candidate rows examined by table accesses (driver, lookup, probe
-  /// and scan steps, tombstones included) before their column tests.
-  /// Deterministic for a sequential solve. RowsScanned / RuleFirings is
-  /// the join plan's wasted work per useful match.
-  uint64_t RowsScanned = 0;
-  uint64_t FactsDerived = 0; ///< joins that strictly increased a cell
   double Seconds = 0;
-  /// Tables + indexes + value arena + provenance + support index + memo
-  /// cache — everything the solver keeps alive.
-  size_t MemoryBytes = 0;
-
-  // Plan/memo counters (SolverOptions::EnableMemo).
-  uint64_t PlanSteps = 0;  ///< compiled plan steps over all plans of every
-                           ///< family (fixpoint/Plan.h PlanLibrary)
-  // Cost-based planner counters (SolverOptions::CostBasedPlans).
-  uint64_t CostBasedPlans = 0; ///< (rule, driver) pairs whose current
-                               ///< order differs from the frozen
-                               ///< driver-first order
-  uint64_t ReplanEvents = 0;   ///< (rule, driver) pairs re-planned by the
-                               ///< adaptive between-round checks (the
-                               ///< initial cost-based choice not counted)
-  /// Cumulative live-row drift between consecutive planner statistics
-  /// snapshots (Σ per-predicate |rows now − rows at last plan|): how far
-  /// the observed delta shapes moved from what the current plans were
-  /// estimated against. Large values with ReplanEvents == 0 mean the
-  /// hysteresis threshold absorbed the drift.
-  uint64_t EstimatedVsActualRows = 0;
-  // Incremental-engine escape hatches: update() batches that fell back to
-  // a from-scratch solve, by reason. Always 0 for a plain one-shot Solver
-  // run; cumulative over the IncrementalSolver's lifetime.
-  /// Fallbacks taken because a staged fact reached a negated predicate.
-  /// This escape hatch was retired — negation-touching batches now run
-  /// stratum-local DRed incrementally — so the counter is an operator-
-  /// visible invariant: it must stay 0 (tests assert it).
-  uint64_t NegationFallbacks = 0;
-  /// Recovery solves after a degraded update (deadline / iteration limit
-  /// hit mid-batch left the tables a sound under-approximation, not a
-  /// fixpoint; the next update() rebuilds from the fact store).
-  uint64_t DegradedRecoveries = 0;
-  uint64_t MemoHits = 0;   ///< extern calls answered from the memo cache
-  uint64_t MemoMisses = 0; ///< extern calls computed then cached
-
-  // Bytecode-VM counters (SolverOptions::UseVm).
-  uint64_t VmCalls = 0; ///< extern dispatches executed by the VM (memo
-                        ///< hits excluded — only actual executions)
-  uint64_t VmInlineCacheHits = 0; ///< tag-dispatch + tuple-check inline
-                                  ///< cache hits during this run
-  /// Extern dispatches that wanted the VM (UseVm on, interpreted FLIX
-  /// function) but had no compiled body and fell back to the
-  /// interpreter. The standard suites assert this stays 0 — the VM
-  /// compiler covers the whole functional sub-language.
-  uint64_t InterpFallbacks = 0;
-  // Static pipeline counters (vm/Passes.h), fixed when the module
-  // compiled — identical across runs of the same program, reported so
-  // tools can show what the optimizer did without a recompile.
-  uint64_t VmInlinedCalls = 0;     ///< CallFn sites spliced inline
-  uint64_t VmSuperwordHits = 0;    ///< compare+branch pairs fused
-  uint64_t VmPassesRemovedInsns = 0; ///< instructions removed by passes
-
-  // Parallel-engine counters (zero for the sequential solver).
-  uint64_t ParallelTasks = 0;   ///< (rule, driver, chunk) tasks executed
-  uint64_t ParallelSteals = 0;  ///< tasks obtained by work stealing
-  uint64_t MergeCollisions = 0; ///< ⊔-compactions of same-key derivations
-  uint64_t SpawnedSubtasks = 0; ///< intra-rule sub-tasks split off by
-                                ///< workers (SolverOptions::SpillThreshold)
-  uint64_t MaxFanout = 0;       ///< largest number of sub-tasks one split
-                                ///< produced (hot-row fan-out indicator)
-  uint64_t IndexBuildTasks = 0; ///< pool tasks used to pre-build static
-                                ///< indexes (one per pred and mask)
-  uint64_t IndexFallbacks = 0;  ///< probeExisting misses that fell back to
-                                ///< a full scan (0 when the static index
-                                ///< analysis covers every access path)
 
   bool ok() const { return St == Status::Fixpoint; }
 };
@@ -276,6 +204,10 @@ public:
   /// supportEdgeCount() — bounding index growth in tests.
   size_t negSupportEdgeCount() const;
 
+  /// The extern memo cache (null unless EnableMemo). Its hit and miss
+  /// totals span the solver's lifetime, across incremental updates.
+  const plan::ExternMemo *memo() const { return Memo.get(); }
+
 private:
   friend class IncrementalSolver;
   struct PlanEngine;
@@ -317,20 +249,6 @@ private:
   /// + indexes, provenance, the support index, and the memo cache. Also
   /// used by the incremental engine's per-update stats.
   size_t memoryFootprint() const;
-  /// Cost-based (re)planning: snapshots table statistics and re-plans via
-  /// PlanLibrary::replanFromStats. \p Threshold 1.0 adopts any strict
-  /// improvement (the initial post-loadFacts choice); larger values are
-  /// the adaptive between-round hysteresis. \p CountEvents selects
-  /// whether replans land in SolveStats::ReplanEvents (adaptive checks
-  /// only). No-op unless CostBasedPlans is set.
-  /// Called only at single-threaded points (solve start, round
-  /// boundaries) — also by the incremental engine between delta rounds.
-  /// Returns true if any plan changed (the incremental engine then
-  /// refreshes its workers' pre-built indexes). Round-boundary callers
-  /// pass the next round's \p Deltas so only the plans it runs are
-  /// re-checked (PlanLibrary::replanFromStats).
-  bool replanPlans(double Threshold, bool CountEvents,
-                   std::span<const std::vector<uint32_t>> Deltas = {});
 
   const Program &P;
   SolverOptions Opts;

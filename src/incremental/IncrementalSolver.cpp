@@ -62,11 +62,8 @@ struct IncrementalSolver::WorkerCtx {
   std::vector<Deriv> Buffer;
   const Task *Cur = nullptr;
   uint32_t CurRuleIdx = 0;
-  uint64_t RuleFirings = 0;
-  uint64_t RowsScanned = 0;
-  uint64_t IndexFallbacks = 0;
-  uint64_t VmCalls = 0;
-  uint64_t InterpFallbacks = 0;
+  /// This worker's counters, folded into the solver's after each round.
+  SolveCounters Counters;
 
   explicit WorkerCtx(IncrementalSolver &IS) : IS(IS) {}
 
@@ -74,7 +71,7 @@ struct IncrementalSolver::WorkerCtx {
   /// the cache its full solves populated.
   Value callExtern(FnId Fn, std::span<const Value> Args) {
     return plan::callExtern(IS.P, Fn, Args, IS.Opts.UseVm, Sol->Memo.get(),
-                            VmCalls, InterpFallbacks);
+                            Counters);
   }
 
   //===--------------------------------------------------------------------===//
@@ -87,18 +84,16 @@ struct IncrementalSolver::WorkerCtx {
   ValueFactory &factory() { return IS.F; }
   Table &table(PredId P) { return *Sol->Tables[P]; }
   bool checkRow() { return false; } // updates have no deadline
-  uint64_t &rowsScanned() { return RowsScanned; }
+  SolveCounters &counters() { return Counters; }
 
   const Table::Bucket *probeBucket(const plan::Step &St,
                                    std::span<const Value> Proj) {
-    if (const Table::Bucket *Bucket =
-            Sol->Tables[St.Pred]->probeExisting(St.Mask, Proj))
-      return Bucket;
-    ++IndexFallbacks;
-    assert(!IS.Opts.StrictIndexCoverage &&
+    const Table::Bucket *Bucket =
+        Sol->Tables[St.Pred]->probeExisting(St.Mask, Proj);
+    assert((Bucket || !IS.Opts.StrictIndexCoverage) &&
            "probeExisting miss: plan mask not pre-built by "
            "prepareWorkerIndexes");
-    return nullptr;
+    return Bucket;
   }
 
   uint32_t maybeSpill(const plan::RulePlan &, uint32_t,
@@ -113,7 +108,7 @@ struct IncrementalSolver::WorkerCtx {
   void popRow() { PremStack.pop_back(); }
 
   void onDerived(const plan::RulePlan &Pl, Value KeyT, Value LatVal) {
-    ++RuleFirings;
+    ++Counters.RuleFirings;
     // ⊥ derivations can never change a cell; drop them before the merge.
     if (!Pl.Head.Relational &&
         LatVal == IS.P.predicate(Pl.Head.Pred).Lat->bot())
@@ -186,18 +181,8 @@ IncrementalSolver::IncrementalSolver(const Program &P, SolverOptions Opts)
   NegTombstones.resize(NumPreds);
 
   // Seed the fact store from the program's facts.
-  for (const Fact &Fa : P.facts()) {
-    Value KeyT = keyTupleOf(Fa);
-    auto &Vals = FactStore[Fa.Pred][KeyT];
-    bool Dup = false;
-    for (Value V : Vals)
-      if (V == Fa.LatValue) {
-        Dup = true;
-        break;
-      }
-    if (!Dup)
-      Vals.push_back(Fa.LatValue);
-  }
+  for (const Fact &Fa : P.facts())
+    addToStore(Fa);
 
   RuleHasNeg.assign(P.rules().size(), 0);
   for (uint32_t RI = 0; RI < P.rules().size(); ++RI)
@@ -210,43 +195,60 @@ IncrementalSolver::IncrementalSolver(const Program &P, SolverOptions Opts)
 
 IncrementalSolver::~IncrementalSolver() = default;
 
-Value IncrementalSolver::keyTupleOf(const Fact &Fa) const {
-  return F.tuple(std::span<const Value>(Fa.Key.data(), Fa.Key.size()));
+std::optional<Value> IncrementalSolver::addToStore(const Fact &Fa) {
+  Value KeyT = F.tuple(std::span<const Value>(Fa.Key.data(), Fa.Key.size()));
+  auto &Vals = FactStore[Fa.Pred][KeyT];
+  if (std::find(Vals.begin(), Vals.end(), Fa.LatValue) != Vals.end())
+    return std::nullopt;
+  Vals.push_back(Fa.LatValue);
+  return KeyT;
+}
+
+std::optional<Value> IncrementalSolver::retractFromStore(const Fact &Fa) {
+  std::optional<Value> KeyT = F.findTuple(
+      std::span<const Value>(Fa.Key.data(), Fa.Key.size()));
+  auto It = KeyT ? FactStore[Fa.Pred].find(*KeyT) : FactStore[Fa.Pred].end();
+  if (It == FactStore[Fa.Pred].end())
+    return std::nullopt;
+  auto &Vals = It->second;
+  auto V = std::find(Vals.begin(), Vals.end(), Fa.LatValue);
+  bool Removed = V != Vals.end();
+  if (Removed) {
+    *V = Vals.back();
+    Vals.pop_back();
+  }
+  if (Vals.empty())
+    FactStore[Fa.Pred].erase(It);
+  return Removed ? KeyT : std::nullopt;
+}
+
+void IncrementalSolver::stage(std::vector<Fact> &Queue, PredId Pred,
+                              std::span<const Value> Key, Value LatVal) {
+  Fact Fa;
+  Fa.Pred = Pred;
+  Fa.Key = SmallVector<Value, 4>(Key.begin(), Key.end());
+  Fa.LatValue = LatVal;
+  Queue.push_back(std::move(Fa));
 }
 
 void IncrementalSolver::addFact(PredId Pred, std::span<const Value> Tuple) {
   assert(P.predicate(Pred).isRelational() &&
          "addFact() is for relational predicates; use addLatFact()");
-  Fact Fa;
-  Fa.Pred = Pred;
-  for (Value V : Tuple)
-    Fa.Key.push_back(V);
-  Fa.LatValue = F.boolean(true);
-  PendingAdds.push_back(std::move(Fa));
+  stage(PendingAdds, Pred, Tuple, F.boolean(true));
 }
 
 void IncrementalSolver::addLatFact(PredId Pred, std::span<const Value> Key,
                                    Value LatVal) {
   assert(!P.predicate(Pred).isRelational() &&
          "addLatFact() is for lattice predicates; use addFact()");
-  Fact Fa;
-  Fa.Pred = Pred;
-  for (Value V : Key)
-    Fa.Key.push_back(V);
-  Fa.LatValue = LatVal;
-  PendingAdds.push_back(std::move(Fa));
+  stage(PendingAdds, Pred, Key, LatVal);
 }
 
 void IncrementalSolver::retractFact(PredId Pred,
                                     std::span<const Value> Tuple) {
   assert(P.predicate(Pred).isRelational() &&
          "retractFact() is for relational predicates");
-  Fact Fa;
-  Fa.Pred = Pred;
-  for (Value V : Tuple)
-    Fa.Key.push_back(V);
-  Fa.LatValue = F.boolean(true);
-  PendingRetracts.push_back(std::move(Fa));
+  stage(PendingRetracts, Pred, Tuple, F.boolean(true));
 }
 
 void IncrementalSolver::retractLatFact(PredId Pred,
@@ -254,12 +256,7 @@ void IncrementalSolver::retractLatFact(PredId Pred,
                                        Value LatVal) {
   assert(!P.predicate(Pred).isRelational() &&
          "retractLatFact() is for lattice predicates");
-  Fact Fa;
-  Fa.Pred = Pred;
-  for (Value V : Key)
-    Fa.Key.push_back(V);
-  Fa.LatValue = LatVal;
-  PendingRetracts.push_back(std::move(Fa));
+  stage(PendingRetracts, Pred, Key, LatVal);
 }
 
 void IncrementalSolver::addFacts(PredId Pred,
@@ -338,38 +335,11 @@ void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
   // Apply staged mutations to the store only: a fresh solve reads the
   // materialized store. Retractions first, then additions — a batch that
   // both retracts and adds the same fact leaves it present.
-  for (const Fact &Fa : PendingRetracts) {
-    Value KeyT = keyTupleOf(Fa);
-    auto It = FactStore[Fa.Pred].find(KeyT);
-    if (It == FactStore[Fa.Pred].end())
-      continue;
-    auto &Vals = It->second;
-    for (size_t I = 0; I < Vals.size(); ++I) {
-      if (Vals[I] == Fa.LatValue) {
-        Vals[I] = Vals.back();
-        Vals.pop_back();
-        ++U.FactsRetracted;
-        break;
-      }
-    }
-    if (Vals.empty())
-      FactStore[Fa.Pred].erase(It);
-  }
+  for (const Fact &Fa : PendingRetracts)
+    U.FactsRetracted += retractFromStore(Fa).has_value();
   PendingRetracts.clear();
-  for (const Fact &Fa : PendingAdds) {
-    Value KeyT = keyTupleOf(Fa);
-    auto &Vals = FactStore[Fa.Pred][KeyT];
-    bool Dup = false;
-    for (Value V : Vals)
-      if (V == Fa.LatValue) {
-        Dup = true;
-        break;
-      }
-    if (Dup)
-      continue;
-    Vals.push_back(Fa.LatValue);
-    ++U.FactsAdded;
-  }
+  for (const Fact &Fa : PendingAdds)
+    U.FactsAdded += addToStore(Fa).has_value();
   PendingAdds.clear();
 
   OverrideFacts = currentFacts();
@@ -501,24 +471,20 @@ void IncrementalSolver::mergeWorkerDerivs() {
         Rows[JR.RowId] = std::move(Der);
       }
     }
-    Sol.Stats.RuleFirings += W->RuleFirings;
-    Sol.Stats.RowsScanned += W->RowsScanned;
-    Sol.Stats.IndexFallbacks += W->IndexFallbacks;
-    Sol.Stats.VmCalls += W->VmCalls;
-    Sol.Stats.InterpFallbacks += W->InterpFallbacks;
-    W->RuleFirings = 0;
-    W->RowsScanned = 0;
-    W->IndexFallbacks = 0;
-    W->VmCalls = 0;
-    W->InterpFallbacks = 0;
+    Sol.Stats.add(W->Counters);
+    W->Counters = SolveCounters();
     W->Buffer.clear();
   }
 }
 
 void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   Solver &Sol = *S;
-  SolveStats Before = Sol.Stats;
-  uint64_t IcHitsAtUpdateStart = P.vmIcHits();
+  auto sharedCounters = [&] {
+    return plan::readSharedCounters(P, Sol.Memo.get(),
+                                    Pool ? Pool->steals() : 0);
+  };
+  SolveCounters Before = Sol.Stats;
+  SolveCounters SharedBefore = sharedCounters();
   size_t NumPreds = P.predicates().size();
 
   // The inner solver's run state must be clean for re-entry; incremental
@@ -612,28 +578,13 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
 
   std::vector<CellRef> Work;
   for (const Fact &Fa : PendingRetracts) {
-    Value KeyT = keyTupleOf(Fa);
-    auto It = FactStore[Fa.Pred].find(KeyT);
-    if (It == FactStore[Fa.Pred].end())
-      continue;
-    auto &Vals = It->second;
-    bool Removed = false;
-    for (size_t I = 0; I < Vals.size(); ++I) {
-      if (Vals[I] == Fa.LatValue) {
-        Vals[I] = Vals.back();
-        Vals.pop_back();
-        Removed = true;
-        break;
-      }
-    }
-    if (Vals.empty())
-      FactStore[Fa.Pred].erase(It);
-    if (!Removed)
+    std::optional<Value> KeyT = retractFromStore(Fa);
+    if (!KeyT)
       continue;
     ++U.FactsRetracted;
     // Seed the closure with the fact's cell (if materialized): its value
     // may depend on the retracted contribution.
-    uint32_t Row = Sol.Tables[Fa.Pred]->lookupRow(KeyT);
+    uint32_t Row = Sol.Tables[Fa.Pred]->lookupRow(*KeyT);
     if (Row != Table::NoRow && markDeleted(Fa.Pred, Row))
       Work.push_back({Fa.Pred, Row});
   }
@@ -642,19 +593,11 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
 
   //--- Phase A: additions ----------------------------------------------
   for (const Fact &Fa : PendingAdds) {
-    Value KeyT = keyTupleOf(Fa);
-    auto &Vals = FactStore[Fa.Pred][KeyT];
-    bool Dup = false;
-    for (Value V : Vals)
-      if (V == Fa.LatValue) {
-        Dup = true;
-        break;
-      }
-    if (Dup)
+    std::optional<Value> KeyT = addToStore(Fa);
+    if (!KeyT)
       continue;
-    Vals.push_back(Fa.LatValue);
     ++U.FactsAdded;
-    Table::JoinResult JR = Sol.Tables[Fa.Pred]->join(KeyT, Fa.LatValue);
+    Table::JoinResult JR = Sol.Tables[Fa.Pred]->join(*KeyT, Fa.LatValue);
     if (JR.Changed) {
       noteChanged(Fa.Pred, JR.RowId);
       if (Opts.TrackProvenance) {
@@ -677,8 +620,9 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   // initial solve planned for. Runs between rounds (no evaluation in
   // flight); a changed plan may probe new masks, so the workers' indexes
   // must be refreshed before any parallel round.
-  if (Opts.ReplanThreshold > 0 &&
-      Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true) &&
+  bool Adaptive = Opts.CostBasedPlans && Opts.ReplanThreshold > 0;
+  if (Adaptive &&
+      Sol.Plans->replan(Sol.Tables, Opts.ReplanThreshold, &Sol.Stats) &&
       Parallel && Opts.UseIndexes)
     prepareWorkerIndexes();
 
@@ -739,9 +683,9 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       // Round-boundary adaptive re-plan, same contract as the batch
       // solvers: single-threaded here, and workers re-fetch plans by
       // (rule, driver) each round, so swapping them in place is safe.
-      if (Opts.ReplanThreshold > 0 &&
-          Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true,
-                          Sol.Delta) &&
+      if (Adaptive &&
+          Sol.Plans->replan(Sol.Tables, Opts.ReplanThreshold, &Sol.Stats,
+                            Sol.Delta) &&
           Parallel && Opts.UseIndexes)
         prepareWorkerIndexes();
       if (RuleIds.empty())
@@ -838,31 +782,13 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       U.ChangedPreds.push_back(Pr);
 
   U.St = Sol.Stats.St;
-  U.Iterations = Sol.Stats.Iterations - Before.Iterations;
-  U.RuleFirings = Sol.Stats.RuleFirings - Before.RuleFirings;
-  U.RowsScanned = Sol.Stats.RowsScanned - Before.RowsScanned;
-  U.FactsDerived = Sol.Stats.FactsDerived - Before.FactsDerived;
-  U.ParallelTasks = Sol.Stats.ParallelTasks - Before.ParallelTasks;
-  U.IndexFallbacks = Sol.Stats.IndexFallbacks - Before.IndexFallbacks;
-  U.ReplanEvents = Sol.Stats.ReplanEvents - Before.ReplanEvents;
-  U.EstimatedVsActualRows =
-      Sol.Stats.EstimatedVsActualRows - Before.EstimatedVsActualRows;
-  U.CostBasedPlans = Sol.Stats.CostBasedPlans; // absolute, not a delta
-  U.VmCalls = Sol.Stats.VmCalls - Before.VmCalls;
-  U.InterpFallbacks = Sol.Stats.InterpFallbacks - Before.InterpFallbacks;
-  U.VmInlineCacheHits = P.vmIcHits() - IcHitsAtUpdateStart;
-  U.VmInlinedCalls = P.vmPipelineCounters().InlinedCalls;
-  U.VmSuperwordHits = P.vmPipelineCounters().SuperwordHits;
-  U.VmPassesRemovedInsns = P.vmPipelineCounters().RemovedInsns;
-  if (Pool)
-    U.ParallelSteals = Pool->steals() - StealsBase;
+  U.addSince(Sol.Stats, Before);
+  U.addSince(sharedCounters(), SharedBefore);
 }
 
 UpdateStats IncrementalSolver::update(Deadline DL) {
   UpdateStats U;
   auto Start = std::chrono::steady_clock::now();
-  if (Pool)
-    StealsBase = Pool->steals();
 
   // Negation no longer forces a full solve: negation-touching batches
   // run stratum-local DRed inside incrementalUpdate(). Only the first
@@ -886,16 +812,6 @@ UpdateStats IncrementalSolver::update(Deadline DL) {
   U.Seconds = std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - Start)
                   .count();
-  // Full footprint including provenance, the support index and the memo
-  // cache — the components the old tables-only sum under-reported.
-  U.MemoryBytes = S->memoryFootprint();
-  U.PlanSteps = S->Plans->totalSteps();
-  U.CostBasedPlans = S->Plans->costBasedPlans();
-  if (S->Memo) {
-    // Cumulative over the inner solver's lifetime (the cache is shared
-    // across updates), not per-update deltas.
-    U.MemoHits = S->Memo->hits();
-    U.MemoMisses = S->Memo->misses();
-  }
+  plan::fillGauges(U, P, *S->Plans, S->memoryFootprint());
   return U;
 }

@@ -51,13 +51,9 @@ namespace flix {
 
 class ThreadPool;
 
-/// Per-update() outcome: the usual solve counters (covering just this
-/// update's work) plus the incremental-specific ones.
-struct UpdateStats : SolveStats {
-  uint64_t FactsAdded = 0;     ///< fact pairs inserted (duplicates skipped)
-  uint64_t FactsRetracted = 0; ///< fact pairs removed (unknown ones skipped)
-  uint64_t CellsDeleted = 0;   ///< cells reset to ⊥ by over-deletion
-  uint64_t CellsRederived = 0; ///< deleted cells re-derived to non-⊥
+/// Per-update() outcome: the solve counters (work counters cover just
+/// this update's work; see fixpoint/Stats.h) plus the update counters.
+struct UpdateStats : SolveStats, UpdateCounters {
   /// Update fell back to a from-scratch solve. Post stratum-local DRed
   /// this happens only for degraded recovery (the prior update aborted);
   /// negation never causes it.
@@ -68,6 +64,12 @@ struct UpdateStats : SolveStats {
   /// snapshots) rebuild exactly these and share the rest, so snapshot
   /// maintenance cost tracks the affected cone like the update itself.
   std::vector<PredId> ChangedPreds;
+
+  /// Folds another update's work into this running total (Stats.h add).
+  void add(const UpdateStats &O) {
+    SolveCounters::add(O);
+    UpdateCounters::add(O);
+  }
 };
 
 /// Wraps the sequential semi-naive Solver with a mutable input-fact store
@@ -210,7 +212,14 @@ private:
   struct WorkerCtx;
   struct Task;
 
-  Value keyTupleOf(const Fact &Fa) const;
+  void stage(std::vector<Fact> &Queue, PredId Pred,
+             std::span<const Value> Key, Value LatVal);
+  /// Adds \p Fa's contribution to the fact store; returns its key tuple,
+  /// or nullopt if the store already held it.
+  std::optional<Value> addToStore(const Fact &Fa);
+  /// Removes \p Fa's contribution from the fact store; returns its key
+  /// tuple, or nullopt (interning nothing) if the store did not hold it.
+  std::optional<Value> retractFromStore(const Fact &Fa);
   void fullSolve(UpdateStats &U, Deadline DL);
   void incrementalUpdate(UpdateStats &U, Deadline DL);
   void noteChanged(PredId Pred, uint32_t Row);
@@ -267,9 +276,6 @@ private:
   std::vector<std::unique_ptr<WorkerCtx>> Workers;
   std::vector<Task> Tasks;
   bool ParallelReady = false;
-  /// Pool steal counter at the start of the current update(), for the
-  /// per-update ParallelSteals delta.
-  uint64_t StealsBase = 0;
   /// Lifetime counts of full-solve fallbacks taken by update(), by
   /// reason (see negationFallbacks()); they live here because fullSolve()
   /// replaces the inner solver and would lose counters kept in its

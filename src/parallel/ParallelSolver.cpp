@@ -152,16 +152,8 @@ struct ParallelSolver::WorkerCtx {
   /// tasks, so steady-state evaluation allocates nothing).
   plan::PlanExecutor<WorkerCtx> Exec{*this};
 
-  // Counters drained into SolveStats by the coordinator between phases.
-  uint64_t RuleFirings = 0;
-  uint64_t RowsScanned = 0;
-  uint64_t FactsDerived = 0;
-  uint64_t MergeCollisions = 0;
-  uint64_t SpawnedSubtasks = 0;
-  uint64_t MaxFanout = 0;
-  uint64_t IndexFallbacks = 0;
-  uint64_t VmCalls = 0;
-  uint64_t InterpFallbacks = 0;
+  /// This worker's counters, folded into SolveStats when the solve ends.
+  SolveCounters Counters;
 
   WorkerCtx(ParallelSolver &S, unsigned Id) : S(S), Id(Id) {
     Buffers.resize(NumMergeShards);
@@ -179,7 +171,7 @@ struct ParallelSolver::WorkerCtx {
 
   Value callExtern(FnId Fn, std::span<const Value> Args) {
     return plan::callExtern(S.P, Fn, Args, S.Opts.UseVm, S.Memo.get(),
-                            VmCalls, InterpFallbacks);
+                            Counters);
   }
 
   //===--------------------------------------------------------------------===//
@@ -193,7 +185,7 @@ struct ParallelSolver::WorkerCtx {
   ValueFactory &factory() { return S.F; }
   Table &table(PredId P) { return *S.Tables[P]; }
   bool checkRow() { return checkAbort(); }
-  uint64_t &rowsScanned() { return RowsScanned; }
+  SolveCounters &counters() { return Counters; }
 
   /// Buckets are immutable during an eval phase and never move, so the
   /// returned pointer is a stable spill target. A miss means the static
@@ -202,14 +194,12 @@ struct ParallelSolver::WorkerCtx {
   /// fallback.
   const Table::Bucket *probeBucket(const plan::Step &St,
                                    std::span<const Value> Proj) {
-    if (const Table::Bucket *Bucket =
-            S.Tables[St.Pred]->probeExisting(St.Mask, Proj))
-      return Bucket;
-    ++IndexFallbacks;
-    assert(!S.Opts.StrictIndexCoverage &&
+    const Table::Bucket *Bucket =
+        S.Tables[St.Pred]->probeExisting(St.Mask, Proj);
+    assert((Bucket || !S.Opts.StrictIndexCoverage) &&
            "probeExisting miss: plan mask not pre-built by the static "
            "index analysis");
-    return nullptr;
+    return Bucket;
   }
 
   /// Intra-rule spilling, with the plan-step index in SubTask::Pos.
@@ -223,7 +213,7 @@ struct ParallelSolver::WorkerCtx {
   void popRow() {}
 
   void onDerived(const plan::RulePlan &Pl, Value KeyT, Value LatVal) {
-    ++RuleFirings;
+    ++Counters.RuleFirings;
     // ⊥ derivations can never change a cell (x ⊔ ⊥ = x, and absent cells
     // are implicitly ⊥), so drop them here instead of shipping them through
     // the merge — the sequential Table::join does the same.
@@ -307,11 +297,11 @@ uint32_t ParallelSolver::WorkerCtx::trySpill(size_t Pos,
     size_t Slot = Arena.publish(T);
     S.Pool->spawn(Id, SpawnPayloadBit |
                           (size_t(Id) << SpawnWorkerShift) | Slot);
-    ++SpawnedSubtasks;
+    ++Counters.SpawnedSubtasks;
     ++Fanout;
     B += Thresh;
   }
-  MaxFanout = std::max(MaxFanout, Fanout);
+  Counters.MaxFanout = std::max(Counters.MaxFanout, Fanout);
   return B;
 }
 
@@ -337,7 +327,7 @@ void ParallelSolver::WorkerCtx::compactShard(size_t Sh) {
       }
       Deriv &E = Out[It->second];
       E.Lat = S.Tables[D.Pred]->lattice().lub(E.Lat, D.Lat);
-      ++MergeCollisions;
+      ++Counters.MergeCollisions;
     }
   }
 }
@@ -354,7 +344,7 @@ void ParallelSolver::WorkerCtx::joinPred(PredId Pred) {
       break; // partial joins are fine: the run reports Timeout
     Table::JoinResult JR = T.join(D.Key, D.Lat);
     if (JR.Changed) {
-      ++FactsDerived;
+      ++Counters.FactsDerived;
       ND.push_back(JR.RowId);
     }
   }
@@ -442,23 +432,6 @@ void ParallelSolver::buildStaticIndexes() {
     Tables[Wanted[I].first]->fillIndex(Wanted[I].second);
   });
   Stats.IndexBuildTasks += Wanted.size();
-}
-
-bool ParallelSolver::replanPlans(
-    double Threshold, bool CountEvents,
-    std::span<const std::vector<uint32_t>> Deltas) {
-  if (!Opts.CostBasedPlans)
-    return false;
-  plan::StatsVec St;
-  plan::gatherStats({Tables.data(), Tables.size()}, St);
-  plan::PlanLibrary::ReplanResult R =
-      Plans->replanFromStats(St, Threshold, Deltas);
-  if (CountEvents) {
-    Stats.ReplanEvents += R.Replanned;
-    Stats.EstimatedVsActualRows += R.RowsDivergence;
-  }
-  Stats.CostBasedPlans = Plans->costBasedPlans();
-  return R.Replanned != 0;
 }
 
 void ParallelSolver::buildRound0Tasks(const std::vector<uint32_t> &RuleIds) {
@@ -561,42 +534,22 @@ SolveStats ParallelSolver::solve() {
 
   auto Start = std::chrono::steady_clock::now();
   DL = Deadline::after(Opts.TimeLimitSeconds);
-  uint64_t IcHitsAtStart = P.vmIcHits();
+  SolveCounters SharedAtStart =
+      plan::readSharedCounters(P, Memo.get(), Pool->steals());
 
   auto finish = [&]() -> SolveStats & {
-    Stats.VmInlineCacheHits = P.vmIcHits() - IcHitsAtStart;
-    Stats.VmInlinedCalls = P.vmPipelineCounters().InlinedCalls;
-    Stats.VmSuperwordHits = P.vmPipelineCounters().SuperwordHits;
-    Stats.VmPassesRemovedInsns = P.vmPipelineCounters().RemovedInsns;
-    for (const std::unique_ptr<WorkerCtx> &W : Workers) {
-      Stats.RuleFirings += W->RuleFirings;
-      Stats.RowsScanned += W->RowsScanned;
-      Stats.FactsDerived += W->FactsDerived;
-      Stats.MergeCollisions += W->MergeCollisions;
-      Stats.SpawnedSubtasks += W->SpawnedSubtasks;
-      Stats.MaxFanout = std::max(Stats.MaxFanout, W->MaxFanout);
-      Stats.IndexFallbacks += W->IndexFallbacks;
-      Stats.VmCalls += W->VmCalls;
-      Stats.InterpFallbacks += W->InterpFallbacks;
-      W->RuleFirings = W->RowsScanned = W->FactsDerived = 0;
-      W->MergeCollisions = 0;
-      W->SpawnedSubtasks = W->MaxFanout = W->IndexFallbacks = 0;
-      W->VmCalls = W->InterpFallbacks = 0;
-    }
-    Stats.ParallelSteals = Pool->steals();
+    for (const std::unique_ptr<WorkerCtx> &W : Workers)
+      Stats.add(W->Counters);
+    Stats.addSince(plan::readSharedCounters(P, Memo.get(), Pool->steals()),
+                   SharedAtStart);
     Stats.Seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       Start)
             .count();
-    Stats.MemoryBytes = F.memoryBytes();
+    size_t Bytes = F.memoryBytes() + (Memo ? Memo->memoryBytes() : 0);
     for (const std::unique_ptr<Table> &T : Tables)
-      Stats.MemoryBytes += T->memoryBytes();
-    Stats.PlanSteps = Plans->totalSteps();
-    if (Memo) {
-      Stats.MemoHits = Memo->hits();
-      Stats.MemoMisses = Memo->misses();
-      Stats.MemoryBytes += Memo->memoryBytes();
-    }
+      Bytes += T->memoryBytes();
+    plan::fillGauges(Stats, P, *Plans, Bytes);
     return Stats;
   };
 
@@ -637,7 +590,8 @@ SolveStats ParallelSolver::solve() {
   // Must precede buildStaticIndexes so the wanted masks reflect the
   // chosen orders. Threshold 1.0 adopts any strict improvement; not
   // counted as an adaptive replan.
-  replanPlans(1.0, /*CountEvents=*/false);
+  if (Opts.CostBasedPlans)
+    Plans->replan(Tables, 1.0, /*Events=*/nullptr);
 
   // Fact loading above ran with no secondary indexes to maintain; build
   // them all now, in parallel through the pool.
@@ -680,8 +634,8 @@ SolveStats ParallelSolver::solve() {
       // continuations store only (rule, driver, pos) and spawn arenas are
       // reset after each eval phase). Workers probe via probeExisting, so
       // any newly wanted mask must be built before the next phase.
-      if (Opts.ReplanThreshold > 0 &&
-          replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true, Delta))
+      if (Opts.CostBasedPlans && Opts.ReplanThreshold > 0 &&
+          Plans->replan(Tables, Opts.ReplanThreshold, &Stats, Delta))
         buildStaticIndexes();
       buildDeltaTasks(RuleIds);
       runEvalPhase();

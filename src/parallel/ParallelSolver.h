@@ -119,14 +119,6 @@ private:
   /// constructor-time build. Safe to call again after a re-plan: indexes
   /// that already exist are skipped, only newly wanted masks are built.
   void buildStaticIndexes();
-  /// Re-chooses join orders from current table statistics (no-op unless
-  /// CostBasedPlans). Coordinator-only: must run between phases, when no
-  /// worker holds a plan pointer. Returns true if any plan changed, in
-  /// which case the caller must re-run buildStaticIndexes() so workers'
-  /// probeExisting finds every newly wanted mask. \p Deltas as in
-  /// PlanLibrary::replanFromStats.
-  bool replanPlans(double Threshold, bool CountEvents,
-                   std::span<const std::vector<uint32_t>> Deltas = {});
   void buildRound0Tasks(const std::vector<uint32_t> &RuleIds);
   void buildDeltaTasks(const std::vector<uint32_t> &RuleIds);
   void addChunkedTasks(uint32_t RuleIdx, int32_t Driver,

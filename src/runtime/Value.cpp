@@ -69,10 +69,15 @@ Value ValueFactory::tag(Symbol TagName, Value Payload) {
   return Value(ValueKind::Tag, Id);
 }
 
-Value ValueFactory::internSeq(std::span<const Value> Elems, ValueKind K) {
+uint64_t ValueFactory::seqHash(std::span<const Value> Elems) {
   uint64_t H = 0x7c0fa1d2b3e4f596ULL;
   for (const Value &V : Elems)
     H = hashCombine(H, V.hash());
+  return H;
+}
+
+Value ValueFactory::internSeq(std::span<const Value> Elems, ValueKind K) {
+  uint64_t H = seqHash(Elems);
   unsigned ShardId = shardOfHash(H);
   Shard &S = Shards[ShardId];
   auto Lock = lockShard(S);
@@ -95,6 +100,29 @@ Value ValueFactory::internSeq(std::span<const Value> Elems, ValueKind K) {
 
 Value ValueFactory::tuple(std::span<const Value> Elems) {
   return internSeq(Elems, ValueKind::Tuple);
+}
+
+// Tuples and sets share one sequence store, so an interned set with the
+// same elements answers too — exactly as tuple() would reuse it.
+std::optional<Value>
+ValueFactory::findTuple(std::span<const Value> Elems) const {
+  uint64_t H = seqHash(Elems);
+  const Shard &S = Shards[shardOfHash(H)];
+  auto Lock = lockShard(S);
+  const FlatIndex &Ix = S.SeqIx;
+  if (Ix.capacity() == 0)
+    return std::nullopt;
+  size_t Mask = Ix.capacity() - 1;
+  for (size_t Slot = H & Mask; Ix.Ids[Slot] != FlatIndex::Empty;
+       Slot = (Slot + 1) & Mask) {
+    if (Ix.Hashes[Slot] != H)
+      continue;
+    const std::vector<Value> &Sq = S.Seqs[localOfId(Ix.Ids[Slot])];
+    if (Sq.size() == Elems.size() &&
+        std::equal(Sq.begin(), Sq.end(), Elems.begin()))
+      return Value(ValueKind::Tuple, Ix.Ids[Slot]);
+  }
+  return std::nullopt;
 }
 
 Value ValueFactory::set(std::vector<Value> Elems) {

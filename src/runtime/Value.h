@@ -26,6 +26,7 @@
 #include <cassert>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -144,6 +145,10 @@ public:
   Value tuple(std::initializer_list<Value> Elems) {
     return tuple(std::span<const Value>(Elems.begin(), Elems.size()));
   }
+  /// The tuple of \p Elems if tuple() would return it without interning
+  /// anything new, else nullopt: a lookup by a key nobody stored leaves
+  /// the factory unchanged. Safe under concurrent interning.
+  std::optional<Value> findTuple(std::span<const Value> Elems) const;
 
   /// Builds a set; duplicates are removed and the representation is
   /// canonically ordered so equal sets have equal handles.
@@ -259,6 +264,7 @@ private:
   static uint32_t internIn(FlatIndex &Ix, uint64_t H, EqFn Eq,
                            MakeFn MakeNew);
 
+  static uint64_t seqHash(std::span<const Value> Elems);
   Value internSeq(std::span<const Value> Elems, ValueKind K);
 
   const std::vector<Value> &seq(Value V) const {

@@ -90,8 +90,9 @@ bool Session::load(const std::string &Source, Deadline DL, ErrCode &Code,
     return false;
   }
   IS = std::make_unique<IncrementalSolver>(Compiler->program(), Opt.Solve);
-  // Queries intern key tuples while the leader solves; flip the factory
-  // to lock-sharded interning before the session is ever shared.
+  // Queries parse key columns (strings, tags) and look up key tuples
+  // while the leader solves; flip the factory to lock-sharded interning
+  // before the session is ever shared.
   F.enableConcurrentInterning();
 
   // The initial solve is exclusive (the session is unpublished), so the
@@ -401,9 +402,11 @@ Session::QueryReply Session::query(const std::string &PredName,
       }
       KeyVals.push_back(V);
     }
-    Value KeyT = F.tuple(std::span<const Value>(KeyVals.data(),
-                                                KeyVals.size()));
-    auto It = PS.ByKey.find(KeyT);
+    // A key that was never interned has no row; looking it up must not
+    // intern it (interned values live as long as the session).
+    std::optional<Value> KeyT = F.findTuple(
+        std::span<const Value>(KeyVals.data(), KeyVals.size()));
+    auto It = KeyT ? PS.ByKey.find(*KeyT) : PS.ByKey.end();
     bool Found = It != PS.ByKey.end();
     Fields.set("found", Json::boolean(Found));
     if (Found && !Decl.isRelational())
@@ -446,42 +449,18 @@ Json Session::statsJson() {
   S.set("deadline_expired_waits",
         Json::integer(int64_t(DeadlineExpiredWaits)));
   S.set("update_seconds_total", Json::number(TotalUpdateSeconds));
-  S.set("negation_fallbacks",
-        Json::integer(int64_t(LastUpdate.NegationFallbacks)));
-  S.set("degraded_recoveries",
-        Json::integer(int64_t(LastUpdate.DegradedRecoveries)));
-  S.set("vm_calls", Json::integer(int64_t(LastUpdate.VmCalls)));
-  S.set("vm_inline_cache_hits",
-        Json::integer(int64_t(LastUpdate.VmInlineCacheHits)));
-  S.set("interp_fallbacks",
-        Json::integer(int64_t(LastUpdate.InterpFallbacks)));
-  S.set("vm_inlined_calls",
-        Json::integer(int64_t(LastUpdate.VmInlinedCalls)));
-  S.set("vm_superword_hits",
-        Json::integer(int64_t(LastUpdate.VmSuperwordHits)));
-  S.set("vm_passes_removed_insns",
-        Json::integer(int64_t(LastUpdate.VmPassesRemovedInsns)));
-  S.set("cost_based_plans",
-        Json::integer(int64_t(LastUpdate.CostBasedPlans)));
-  S.set("memory_bytes", Json::integer(int64_t(LastUpdate.MemoryBytes)));
 
+  // The counter table (fixpoint/Stats.h) places each counter by kind:
+  // engine state (gauge, lifetime) at db level, the last update's work
+  // under last_update.
   Json Last = Json::object();
   Last.set("seconds", Json::number(LastUpdate.Seconds));
-  Last.set("replan_events",
-           Json::integer(int64_t(LastUpdate.ReplanEvents)));
-  Last.set("iterations", Json::integer(int64_t(LastUpdate.Iterations)));
-  Last.set("rule_firings", Json::integer(int64_t(LastUpdate.RuleFirings)));
-  Last.set("rows_scanned", Json::integer(int64_t(LastUpdate.RowsScanned)));
-  Last.set("facts_derived",
-           Json::integer(int64_t(LastUpdate.FactsDerived)));
-  Last.set("facts_added", Json::integer(int64_t(LastUpdate.FactsAdded)));
-  Last.set("facts_retracted",
-           Json::integer(int64_t(LastUpdate.FactsRetracted)));
-  Last.set("cells_deleted",
-           Json::integer(int64_t(LastUpdate.CellsDeleted)));
-  Last.set("cells_rederived",
-           Json::integer(int64_t(LastUpdate.CellsRederived)));
   Last.set("full_resolve", Json::boolean(LastUpdate.FullResolve));
+  forEachCounter(LastUpdate, [&](const CounterInfo &C, uint64_t V) {
+    bool PerUpdate =
+        C.Kind == CounterKind::Work || C.Kind == CounterKind::Max;
+    (PerUpdate ? Last : S).set(C.Key, Json::integer(int64_t(V)));
+  });
   S.set("last_update", std::move(Last));
   return S;
 }

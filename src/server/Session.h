@@ -80,6 +80,8 @@ public:
   Session &operator=(const Session &) = delete;
 
   const std::string &name() const { return DbName; }
+  /// The database's value factory (every value it ever interned).
+  const ValueFactory &factory() const { return F; }
 
   /// Compiles \p Source and runs the initial solve (generation 1). Must
   /// complete before the session is shared with other threads; the

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "fixpoint/Plan.h"
 #include "incremental/IncrementalSolver.h"
 
 #include "runtime/Lattices.h"
@@ -314,6 +315,41 @@ TEST(IncrementalSolverTest, LatticeRetractionRederivesLongerPath) {
 
   C.Edges.erase({0, 1, 1});
   expectMatchesScratch(IS, [&] { return C.build(); });
+}
+
+TEST(IncrementalSolverTest, MemoCountersArePerUpdate) {
+  SsspCase C;
+  C.Edges = {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}};
+  Program P = C.build();
+  IncrementalSolver IS(P); // memo on by default
+  UpdateStats U0 = IS.update();
+  ASSERT_TRUE(U0.ok());
+  EXPECT_GT(U0.MemoMisses, 0u);
+
+  // Nothing staged: no extern runs, so no memo traffic either.
+  UpdateStats Idle = IS.update();
+  ASSERT_TRUE(Idle.ok());
+  EXPECT_EQ(Idle.MemoHits, 0u);
+  EXPECT_EQ(Idle.MemoMisses, 0u);
+
+  // A new edge computes addCost(0, 5) once; retracting 1->2 re-derives
+  // node 3 through that edge and finds the call cached.
+  IS.addFact(C.Edge, {C.F.integer(0), C.F.integer(3), C.F.integer(5)});
+  UpdateStats U1 = IS.update();
+  ASSERT_TRUE(U1.ok());
+  IS.retractFact(C.Edge, {C.F.integer(1), C.F.integer(2), C.F.integer(1)});
+  UpdateStats U2 = IS.update();
+  ASSERT_TRUE(U2.ok());
+  EXPECT_FALSE(U2.FullResolve);
+  EXPECT_EQ(C.dist(IS, 3), 5);
+  EXPECT_GT(U1.MemoMisses, 0u);
+  EXPECT_GT(U2.MemoHits, 0u);
+
+  const plan::ExternMemo *Memo = IS.solver().memo();
+  ASSERT_NE(Memo, nullptr);
+  EXPECT_EQ(U0.MemoHits + U1.MemoHits + U2.MemoHits, Memo->hits());
+  EXPECT_EQ(U0.MemoMisses + U1.MemoMisses + U2.MemoMisses,
+            Memo->misses());
 }
 
 TEST(IncrementalSolverTest, RetractingSeedFactEmptiesReachability) {

@@ -13,13 +13,15 @@
 /// engine: the sequential engine, the parallel engine and the incremental
 /// engine after an add/retract update. A probe projection, a fully bound lookup
 /// key or a missed negation key that got interned would show up as an
-/// extra tuple.
+/// extra tuple. The server's point queries follow the same rule: a
+/// queried key that no row holds must not be interned either.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fixpoint/Solver.h"
 #include "incremental/IncrementalSolver.h"
 #include "parallel/ParallelSolver.h"
+#include "server/Session.h"
 
 #include <gtest/gtest.h>
 
@@ -125,6 +127,36 @@ TEST(InternDisciplineTest, IncrementalEngineAfterUpdate) {
   EXPECT_TRUE(IS.contains(C.Open, {C.N(0), C.N(5)}));
   EXPECT_FALSE(IS.contains(C.Reach, {C.N(16), C.N(17)}));
   EXPECT_EQ(C.F.internedSequences(), C.storedKeys(IS));
+}
+
+TEST(InternDisciplineTest, PointQueriesOfAbsentKeysInternNothing) {
+  server::Session S("g", server::Session::Options{});
+  server::ErrCode Code;
+  std::string Err;
+  ASSERT_TRUE(S.load("rel Edge(x: Int, y: Int);\n"
+                     "rel Path(x: Int, y: Int);\n"
+                     "Path(x, y) :- Edge(x, y).\n"
+                     "Path(x, z) :- Path(x, y), Edge(y, z).\n"
+                     "Edge(1, 2). Edge(2, 3).\n",
+                     Deadline(), Code, Err))
+      << Err;
+  auto query = [&](int X, int Y) {
+    server::Json Key = server::Json::array();
+    Key.Arr.push_back(server::Json::integer(X));
+    Key.Arr.push_back(server::Json::integer(Y));
+    server::Session::QueryReply R = S.query("Path", &Key, 0);
+    EXPECT_TRUE(R.Ok) << R.Error;
+    const server::Json *Found = R.Fields.get("found");
+    return Found && Found->isBool() && Found->B;
+  };
+
+  size_t Before = S.factory().internedSequences();
+  for (int I = 0; I < 500; ++I)
+    EXPECT_FALSE(query(1000 + I, I));
+  EXPECT_EQ(S.factory().internedSequences(), Before);
+  // Stored keys are still found.
+  EXPECT_TRUE(query(1, 3));
+  EXPECT_EQ(S.factory().internedSequences(), Before);
 }
 
 } // namespace
